@@ -6,22 +6,23 @@
 //! ```text
 //! cargo run --release -p stisan-bench --bin gateway_bench -- [--smoke]
 //!     [--chaos-smoke] [--scale f] [--clients n] [--requests n] [--qps f]
-//!     [--batch n] [--wait-us n] [--queue n] [--workers n] [--top-k k]
-//!     [--device-us n] [--epochs n] [--seed s]
+//!     [--batch n] [--wait-us n] [--queue n] [--top-k k] [--device-us n]
+//!     [--epochs n] [--seed s]
 //! ```
 //!
-//! Two scoring backends:
+//! Two scoring models, both behind a supervised `ReplicatedEngine`:
 //!
 //! * `--device-us N` (N > 0) — a **fixed-service-time device**: each
 //!   instance costs N µs of wall time regardless of host cores, like an
-//!   accelerator-backed scorer. This isolates the *batching layer*: with a
-//!   fixed worker pool of W, a batch of B costs `ceil(B/W) * N` µs, so the
-//!   dynamic micro-batcher's win over batch-size-1 is structural and
-//!   host-independent — which is what `--smoke` asserts (>= 1.5x at 32 vs
-//!   1, same W).
-//! * `--device-us 0` — score with a freshly trained STiSAN. Real numbers,
-//!   but the batching win then depends on the host's core count (on a
-//!   single-core runner, CPU-bound workers cannot overlap).
+//!   accelerator-backed scorer. This isolates the *batching layer*: over
+//!   [`DEVICE_REPLICAS`] replicas a batch costs `largest replica group * N`
+//!   µs, so the dynamic micro-batcher's win over batch-size-1 is structural
+//!   and host-independent — which is what `--smoke` asserts (>= 1.5x at 32
+//!   vs 1, same replicas).
+//! * `--device-us 0` — score with a freshly trained STiSAN at
+//!   `SupervisorConfig::default()`. Real numbers, but the batching win then
+//!   depends on the host's core count (on a single-core runner, CPU-bound
+//!   replicas cannot overlap).
 //!
 //! `--smoke` runs the CI acceptance sequence on the synthetic device:
 //! closed-loop batch=1 vs batch=32 (assert >= 1.5x), a traced run that must
@@ -62,7 +63,13 @@ use stisan_gateway::{
 use stisan_models::TrainConfig;
 use stisan_obs::report::{json_num, json_str};
 use stisan_obs::CountingAlloc;
-use stisan_serve::{InferenceSession, PruningPolicy, ServeConfig};
+use stisan_serve::{
+    InferenceSession, ReplicatedEngine, ServeConfig, SharedModel, SupervisorConfig,
+};
+
+/// Replica count of the fixed-latency device runs: the device's capacity is
+/// `DEVICE_REPLICAS / service time`.
+const DEVICE_REPLICAS: usize = 4;
 
 /// Counting wrapper around the system allocator so the profiled run can
 /// report per-request allocation churn through `GET /profile`.
@@ -79,7 +86,6 @@ struct Opts {
     batch: usize,
     wait_us: u64,
     queue: usize,
-    workers: usize,
     top_k: u16,
     device_us: u64,
     epochs: usize,
@@ -97,7 +103,6 @@ fn parse() -> Opts {
         batch: 32,
         wait_us: 500,
         queue: 256,
-        workers: 4,
         top_k: 10,
         device_us: 0,
         epochs: 1,
@@ -121,15 +126,14 @@ fn parse() -> Opts {
             "--batch" => o.batch = take(&mut i).parse().expect("bad --batch"),
             "--wait-us" => o.wait_us = take(&mut i).parse().expect("bad --wait-us"),
             "--queue" => o.queue = take(&mut i).parse().expect("bad --queue"),
-            "--workers" => o.workers = take(&mut i).parse().expect("bad --workers"),
             "--top-k" => o.top_k = take(&mut i).parse().expect("bad --top-k"),
             "--device-us" => o.device_us = take(&mut i).parse().expect("bad --device-us"),
             "--epochs" => o.epochs = take(&mut i).parse().expect("bad --epochs"),
             "--seed" => o.seed = take(&mut i).parse().expect("bad --seed"),
             other => panic!(
                 "unknown flag {other}; supported: --smoke --chaos-smoke --scale --clients \
-                 --requests --qps --batch --wait-us --queue --workers --top-k --device-us \
-                 --epochs --seed"
+                 --requests --qps --batch --wait-us --queue --top-k --device-us --epochs \
+                 --seed"
             ),
         }
         i += 1;
@@ -137,6 +141,10 @@ fn parse() -> Opts {
     if o.smoke {
         o.scale = 0.01;
         o.device_us = 500;
+        // A batch costs its largest replica group, which depends on which
+        // users share it; ~100 batches per run average that out to within
+        // the 3% the overhead gates compare at (25 leave +-5%).
+        o.requests = 100;
     }
     if o.chaos_smoke {
         o.scale = 0.01;
@@ -339,11 +347,11 @@ fn run_load(
     }
 }
 
-/// Serves `session` through a gateway on an ephemeral port for the duration
+/// Serves `engine` through a gateway on an ephemeral port for the duration
 /// of `f` (which also receives the admin endpoint address, when one is
 /// configured), then drains and returns the run's gateway stats.
-fn with_gateway<M: FrozenScorer + Sync, R>(
-    session: &InferenceSession<'_, M>,
+fn with_gateway<M: FrozenScorer + Send + Sync, R>(
+    engine: &ReplicatedEngine<'_, M>,
     cfg: GatewayConfig,
     f: impl FnOnce(SocketAddr, Option<SocketAddr>) -> R,
 ) -> (GatewayStats, R) {
@@ -354,7 +362,7 @@ fn with_gateway<M: FrozenScorer + Sync, R>(
     let mut stats = GatewayStats::default();
     let mut out = None;
     thread::scope(|s| {
-        let server = s.spawn(move || gw.serve(session).expect("gateway serve"));
+        let server = s.spawn(move || gw.serve(engine).expect("gateway serve"));
         out = Some(f(addr, admin));
         handle.shutdown();
         stats = server.join().expect("server thread");
@@ -372,7 +380,6 @@ fn gateway_cfg(o: &Opts, batch: usize, queue: usize) -> GatewayConfig {
             max_wait_us: if batch > 1 { o.wait_us } else { 0 },
             queue_capacity: queue,
         },
-        workers: o.workers,
         read_timeout: Duration::from_secs(30),
         admin: None,
         flight_dir: None,
@@ -477,13 +484,12 @@ fn write_bench_json(
     let _ = write!(
         s,
         "\"bench\":\"gateway\",\"backend\":{},\"smoke\":{},\"device_us\":{},\"clients\":{},\
-         \"requests_per_client\":{},\"workers\":{},\"batch\":{},\"queue\":{}",
+         \"requests_per_client\":{},\"batch\":{},\"queue\":{}",
         json_str(backend),
         o.smoke,
         o.device_us,
         o.clients,
         o.requests,
-        o.workers,
         o.batch,
         o.queue
     );
@@ -559,9 +565,6 @@ fn run_chaos_smoke(o: &Opts, p: &Processed) {
     let insts = &p.eval[..n_inst];
     let serve_cfg = ServeConfig {
         top_k: o.top_k as usize,
-        workers: 0,
-        pruning: PruningPolicy::Full,
-        arena: true,
         ..Default::default()
     };
     let epoch_seed = |e: u64| 500 + e;
@@ -823,14 +826,13 @@ fn main() {
     assert!(!p.eval.is_empty(), "no eval instances at this scale — raise --scale");
     println!(
         "Gowalla synth @ scale {}: {} users, {} POIs, {} eval instances; {} clients x {} \
-         requests, {} workers",
+         requests",
         o.scale,
         p.num_users,
         p.num_pois,
         p.eval.len(),
         o.clients,
-        o.requests,
-        o.workers
+        o.requests
     );
 
     if o.chaos_smoke {
@@ -840,24 +842,31 @@ fn main() {
 
     let serve_cfg = ServeConfig {
         top_k: o.top_k as usize,
-        workers: 0,
-        pruning: PruningPolicy::Full,
-        arena: true,
         ..Default::default()
     };
 
     if o.device_us > 0 {
-        let device = FixedLatencyDevice(Duration::from_micros(o.device_us));
-        let session = InferenceSession::new(&device, &p, serve_cfg);
-        println!("scoring device: fixed {} us/instance", o.device_us);
+        let device = |service: Duration| {
+            ReplicatedEngine::new(
+                SharedModel::new(FixedLatencyDevice(service), 0),
+                &p,
+                serve_cfg,
+                SupervisorConfig { replicas: DEVICE_REPLICAS, ..SupervisorConfig::default() },
+            )
+        };
+        let engine = device(Duration::from_micros(o.device_us));
+        println!(
+            "scoring device: fixed {} us/instance, {DEVICE_REPLICAS} replicas",
+            o.device_us
+        );
 
-        // Closed loop, batch = 1 vs the configured batch, same worker pool.
-        let (s1, r1) = with_gateway(&session, gateway_cfg(&o, 1, o.queue), |addr, _| {
+        // Closed loop, batch = 1 vs the configured batch, same replica pool.
+        let (s1, r1) = with_gateway(&engine, gateway_cfg(&o, 1, o.queue), |addr, _| {
             run_load(addr, &p, o.clients, o.requests, o.top_k, 0.0, false, "batch1")
         });
         report("closed loop, batch 1", &r1);
         let batch = o.batch.max(2);
-        let (sb, rb) = with_gateway(&session, gateway_cfg(&o, batch, o.queue), |addr, _| {
+        let (sb, rb) = with_gateway(&engine, gateway_cfg(&o, batch, o.queue), |addr, _| {
             run_load(addr, &p, o.clients, o.requests, o.top_k, 0.0, false, "batched")
         });
         report(&format!("closed loop, batch {batch}"), &rb);
@@ -878,7 +887,7 @@ fn main() {
             flight_dir: Some(PathBuf::from("results")),
             ..gateway_cfg(&o, batch, o.queue)
         };
-        let (_, rt) = with_gateway(&session, traced_cfg, |addr, admin| {
+        let (_, rt) = with_gateway(&engine, traced_cfg, |addr, admin| {
             let r = run_load(addr, &p, o.clients, o.requests, o.top_k, 0.0, true, "traced");
             scrape_admin(admin.expect("traced run configures an admin endpoint"));
             r
@@ -898,17 +907,15 @@ fn main() {
         // every request must still be answered one way or the other. The
         // flight recorder is on here: the flood leaves a first-shed dump
         // under results/, same as a production incident would.
-        let slow = FixedLatencyDevice(Duration::from_millis(2));
-        let slow_session = InferenceSession::new(&slow, &p, serve_cfg);
+        let slow_engine = device(Duration::from_millis(2));
         let overload_cfg = GatewayConfig {
             batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 2 },
-            workers: 1,
             read_timeout: Duration::from_secs(30),
             admin: None,
             flight_dir: Some(PathBuf::from("results")),
             slo: None,
         };
-        let (so, ro) = with_gateway(&slow_session, overload_cfg, |addr, _| {
+        let (so, ro) = with_gateway(&slow_engine, overload_cfg, |addr, _| {
             run_load(addr, &p, 8, 5, o.top_k, 0.0, false, "overload")
         });
         report("overload, queue 2", &ro);
@@ -916,10 +923,10 @@ fn main() {
         assert_eq!(so.shed, ro.shed, "server and client shed counts must agree");
 
         // Open loop at a comfortably sustainable rate (device capacity is
-        // workers / service_time); queueing shows up as latency, not loss.
-        let capacity = o.workers as f64 / (o.device_us as f64 * 1e-6);
+        // replicas / service_time); queueing shows up as latency, not loss.
+        let capacity = DEVICE_REPLICAS as f64 / (o.device_us as f64 * 1e-6);
         let qps = (capacity * 0.5).max(50.0);
-        let (_, ropen) = with_gateway(&session, gateway_cfg(&o, batch, o.queue), |addr, _| {
+        let (_, ropen) = with_gateway(&engine, gateway_cfg(&o, batch, o.queue), |addr, _| {
             run_load(addr, &p, o.clients, o.requests, o.top_k, qps, false, "open")
         });
         report(&format!("open loop, {qps:.0} qps"), &ropen);
@@ -935,7 +942,7 @@ fn main() {
             admin: Some("127.0.0.1:0".parse().expect("admin addr")),
             ..gateway_cfg(&o, batch, o.queue)
         };
-        let (_, (rprof, profile)) = with_gateway(&session, prof_cfg, |addr, admin| {
+        let (_, (rprof, profile)) = with_gateway(&engine, prof_cfg, |addr, admin| {
             let r = run_load(addr, &p, o.clients, o.requests, o.top_k, 0.0, false, "profiled");
             let admin = admin.expect("profiled run configures an admin endpoint");
             let profile = http_get(admin, "/profile");
@@ -1000,7 +1007,7 @@ fn main() {
                 }),
                 ..gateway_cfg(&o, batch, o.queue)
             };
-            let (_, (r, slo, alerts)) = with_gateway(&session, slo_cfg, |addr, admin| {
+            let (_, (r, slo, alerts)) = with_gateway(&engine, slo_cfg, |addr, admin| {
                 let r = run_load(addr, &p, o.clients, o.requests, o.top_k, 0.0, false, "slo");
                 let admin = admin.expect("slo run configures an admin endpoint");
                 // Let the sampler take a couple more ticks over the finished
@@ -1110,7 +1117,7 @@ fn main() {
         }
     } else {
         // Real model: numbers depend on host parallelism (batched scoring
-        // fans CPU-bound work across the worker pool). The batched run is
+        // fans CPU-bound work across the replicas). The batched run is
         // traced so the JSON report carries a stage breakdown here too.
         let train = TrainConfig {
             dim: 16,
@@ -1124,13 +1131,18 @@ fn main() {
         let t = Instant::now();
         model.fit(&p);
         println!("trained {} in {:.1}s", model.name(), t.elapsed().as_secs_f64());
-        let session = InferenceSession::new(&model, &p, serve_cfg);
+        let engine = ReplicatedEngine::new(
+            SharedModel::new(model, 0),
+            &p,
+            serve_cfg,
+            SupervisorConfig::default(),
+        );
 
-        let (s1, r1) = with_gateway(&session, gateway_cfg(&o, 1, o.queue), |addr, _| {
+        let (s1, r1) = with_gateway(&engine, gateway_cfg(&o, 1, o.queue), |addr, _| {
             run_load(addr, &p, o.clients, o.requests, o.top_k, 0.0, false, "batch1")
         });
         report("closed loop, batch 1", &r1);
-        let (sb, rb) = with_gateway(&session, gateway_cfg(&o, o.batch, o.queue), |addr, _| {
+        let (sb, rb) = with_gateway(&engine, gateway_cfg(&o, o.batch, o.queue), |addr, _| {
             run_load(addr, &p, o.clients, o.requests, o.top_k, o.qps, true, "batched")
         });
         report(&format!("batch {}, qps {}", o.batch, o.qps), &rb);

@@ -6,13 +6,14 @@
 //! ```text
 //! cargo run --release -p stisan-bench --bin gateway_server -- \
 //!     [--addr 127.0.0.1:7878] [--admin 127.0.0.1:9878] [--scale f]
-//!     [--epochs n] [--batch n] [--wait-us n] [--queue n] [--workers n]
+//!     [--epochs n] [--batch n] [--wait-us n] [--queue n]
 //!     [--top-k k] [--seed s] [--self-load qps]
 //! ```
 //!
-//! Worker-count precedence: `--workers` > the `STISAN_WORKERS` environment
-//! variable > the `min(cores, 8)` heuristic (see README, "Serving over the
-//! network"). Talk to it with `gateway_bench` or any `GatewayClient`.
+//! The backend is a supervised `ReplicatedEngine` at
+//! `SupervisorConfig::default()` — the configuration `BENCHMARK.json`'s
+//! `gateway_closed_100k` workload measures. Talk to it with `gateway_bench`
+//! or any `GatewayClient`.
 //!
 //! `--admin` additionally binds the observability endpoint (`GET /metrics`
 //! in Prometheus text format, `/healthz`, `/flightrec`, `/traces`, and the
@@ -37,7 +38,7 @@ use stisan_gateway::{
     request_from_instance, BatchPolicy, Gateway, GatewayClient, GatewayConfig,
 };
 use stisan_models::TrainConfig;
-use stisan_serve::{InferenceSession, PruningPolicy, ServeConfig};
+use stisan_serve::{ReplicatedEngine, ServeConfig, SharedModel, SupervisorConfig};
 
 struct Opts {
     addr: String,
@@ -47,7 +48,6 @@ struct Opts {
     batch: usize,
     wait_us: u64,
     queue: usize,
-    workers: usize,
     top_k: usize,
     seed: u64,
     self_load: f64,
@@ -62,7 +62,6 @@ fn parse() -> Opts {
         batch: 32,
         wait_us: 2_000,
         queue: 256,
-        workers: 0,
         top_k: 10,
         seed: 42,
         self_load: 0.0,
@@ -83,13 +82,12 @@ fn parse() -> Opts {
             "--batch" => o.batch = take(&mut i).parse().expect("bad --batch"),
             "--wait-us" => o.wait_us = take(&mut i).parse().expect("bad --wait-us"),
             "--queue" => o.queue = take(&mut i).parse().expect("bad --queue"),
-            "--workers" => o.workers = take(&mut i).parse().expect("bad --workers"),
             "--top-k" => o.top_k = take(&mut i).parse().expect("bad --top-k"),
             "--seed" => o.seed = take(&mut i).parse().expect("bad --seed"),
             "--self-load" => o.self_load = take(&mut i).parse().expect("bad --self-load"),
             other => panic!(
                 "unknown flag {other}; supported: --addr --admin --scale --epochs --batch \
-                 --wait-us --queue --workers --top-k --seed --self-load"
+                 --wait-us --queue --top-k --seed --self-load"
             ),
         }
         i += 1;
@@ -120,16 +118,11 @@ fn main() {
     model.fit(&p);
     println!("trained {} for {} epoch(s)", model.name(), o.epochs);
 
-    let session = InferenceSession::new(
-        &model,
+    let engine = ReplicatedEngine::new(
+        SharedModel::new(model, 0),
         &p,
-        ServeConfig {
-            top_k: o.top_k,
-            workers: 0,
-            pruning: PruningPolicy::Full,
-            arena: true,
-            ..Default::default()
-        },
+        ServeConfig { top_k: o.top_k, ..Default::default() },
+        SupervisorConfig::default(),
     );
     let cfg = GatewayConfig {
         batch: BatchPolicy {
@@ -137,7 +130,6 @@ fn main() {
             max_wait_us: o.wait_us,
             queue_capacity: o.queue,
         },
-        workers: o.workers,
         read_timeout: Duration::from_secs(30),
         admin: o.admin,
         flight_dir: Some(PathBuf::from("results")),
@@ -163,7 +155,7 @@ fn main() {
     let serve_addr = gw.local_addr();
     let load_stop = AtomicBool::new(false);
     std::thread::scope(|s| {
-        let server = s.spawn(|| gw.serve(&session).expect("gateway serve"));
+        let server = s.spawn(|| gw.serve(&engine).expect("gateway serve"));
         if o.self_load > 0.0 && !p.eval.is_empty() {
             let (p, load_stop) = (&p, &load_stop);
             let (top_k, qps) = (o.top_k as u16, o.self_load);

@@ -219,9 +219,7 @@ fn main() {
 
     let cfg = |quant: QuantLevel, pruning: PruningPolicy| ServeConfig {
         top_k: o.top_k,
-        workers: 0,
         pruning,
-        arena: true,
         quant,
     };
     let two_stage = PruningPolicy::TwoStage { budget: o.budget, max_ring: o.max_ring };

@@ -1,5 +1,5 @@
 //! `serve_bench` — throughput and tail latency of the tape-free serving
-//! engine (frozen forward + geo pruning + parallel workers + bounded top-K)
+//! engine (frozen forward + geo pruning + replicated scoring + bounded top-K)
 //! against the tape-based full-scoring path, on the Gowalla synthetic preset.
 //!
 //! ```text
@@ -24,7 +24,11 @@ use stisan_core::{StiSan, StisanConfig};
 use stisan_data::{generate, preprocess, DatasetPreset, EvalInstance, GenConfig};
 use stisan_eval::{FrozenScorer, Recommender};
 use stisan_models::TrainConfig;
-use stisan_serve::{top_k, InferenceSession, PruningPolicy, ServeConfig};
+use stisan_obs::TraceCtx;
+use stisan_serve::{
+    top_k, EngineBackend, PruningPolicy, ReplicatedEngine, ServeConfig, SharedModel,
+    SupervisorConfig,
+};
 
 /// Counting wrapper around the system allocator, so the profiled pass can
 /// attribute per-request allocation churn. Costs one relaxed atomic load
@@ -216,24 +220,30 @@ fn main() {
     let frozen_wall = t0.elapsed().as_secs_f64();
     let frozen = report("frozen + full scan", frozen_wall, frozen_lat);
 
-    // The full engine: frozen forward + geo pruning + parallel workers.
-    let session = InferenceSession::new(
-        &model,
+    // The full engine: frozen forward + geo pruning, the whole request stream
+    // as one batch across the default replica pool.
+    let fleet = ReplicatedEngine::new(
+        SharedModel::new(model, 0),
         &p,
         ServeConfig {
             top_k: o.top_k,
-            workers: 0,
             pruning: PruningPolicy::Radius { km: o.radius_km, min_candidates: o.min_candidates },
-            arena: true,
             ..Default::default()
         },
+        SupervisorConfig::default(),
     );
+    let serve_all = |reqs: &[EvalInstance]| {
+        let mut traces: Vec<TraceCtx> = (0..reqs.len() as u64).map(TraceCtx::new).collect();
+        fleet.serve_outcomes(reqs, 0, &mut traces)
+    };
     let t0 = Instant::now();
-    let recs = session.serve_batch(&requests);
+    let outs = serve_all(&requests);
     let serve_wall = t0.elapsed().as_secs_f64();
+    let recs: Vec<_> =
+        outs.iter().map(|o| &o.as_ref().expect("healthy pool must answer").rec).collect();
     let scored: usize = recs.iter().map(|r| r.scored).sum();
     let pool: usize = recs.iter().map(|r| r.pool).sum();
-    // Tail latency of the parallel path comes from the serve.latency_ms
+    // Tail latency of the replicated path comes from the serve.latency_ms
     // histogram the engine records.
     let snap = stisan_obs::global().map(|o| o.registry.snapshot()).unwrap_or_default();
     let serve_lat = snap
@@ -265,17 +275,16 @@ fn main() {
     //      flamegraph export;
     //   3. re-disabled (min of two walls) — gated against the baseline to
     //      prove the disabled instrumentation path stays under 3%.
-    let run_wall = |session: &InferenceSession<'_, StiSan>, reqs: &[EvalInstance]| {
+    let run_wall = || {
         let t = Instant::now();
-        std::hint::black_box(session.serve_batch(reqs));
+        std::hint::black_box(serve_all(&requests));
         t.elapsed().as_secs_f64()
     };
-    let base_wall =
-        run_wall(&session, &requests).min(run_wall(&session, &requests)).max(1e-9);
+    let base_wall = run_wall().min(run_wall()).max(1e-9);
 
     stisan_obs::alloc::enable();
     stisan_obs::flame::enable();
-    let prof_wall = run_wall(&session, &requests);
+    let prof_wall = run_wall();
     stisan_obs::flame::disable();
     stisan_obs::alloc::disable();
 
@@ -308,7 +317,7 @@ fn main() {
         );
     }
 
-    let dis_wall = run_wall(&session, &requests).min(run_wall(&session, &requests));
+    let dis_wall = run_wall().min(run_wall());
     let overhead = dis_wall / base_wall - 1.0;
     println!(
         "profiling overhead: enabled {:+.1}%, disabled {:+.1}% vs baseline wall {base_wall:.3}s",

@@ -1,6 +1,5 @@
 //! Core data types: check-ins, POIs, datasets, statistics.
 
-use serde::{Deserialize, Serialize};
 use stisan_geo::GeoPoint;
 
 /// A point of interest.
@@ -14,7 +13,7 @@ pub struct Poi {
 
 /// One check-in event (the paper's quad-tuple `c = <u, p, g, t>`; `g` is
 /// looked up through the POI table).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CheckIn {
     /// POI id.
     pub poi: u32,

@@ -21,7 +21,7 @@
 //! dispatcher thread offers admitted requests, sleeps until
 //! [`MicroBatcher::next_deadline_us`], and hands each
 //! [`MicroBatcher::take`] result to the scoring pool
-//! (`InferenceSession::serve_batch_on`) as a single engine batch.
+//! (`EngineBackend::serve_outcomes`) as a single engine batch.
 
 use std::collections::VecDeque;
 

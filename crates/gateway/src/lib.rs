@@ -19,9 +19,8 @@
 //!   with `OVERLOADED` frames, per-request deadlines enforced at dequeue
 //!   (`DEADLINE_EXCEEDED`), per-connection idle timeouts, and graceful
 //!   drain-then-stop shutdown via [`GatewayHandle::shutdown`]. The
-//!   dispatcher scores through any [`stisan_serve::EngineBackend`] — a
-//!   plain `InferenceSession` or a supervised
-//!   [`stisan_serve::ReplicatedEngine`] — and
+//!   dispatcher scores through a [`stisan_serve::EngineBackend`] — a
+//!   supervised [`stisan_serve::ReplicatedEngine`] — and
 //!   [`Gateway::serve_reloading`] additionally runs a hot-reload poller
 //!   so new checkpoints publish with zero downtime (DESIGN.md §13).
 //! * **[`client`]** — a small blocking client for tests and the

@@ -17,12 +17,11 @@
 //! * the **dispatcher** sleeps until the batcher has a ready batch, drops
 //!   requests whose deadline expired while queued (`DEADLINE_EXCEEDED`,
 //!   enforced at dequeue time), and hands the rest to the
-//!   [`EngineBackend`] with the worker count resolved at startup — one
-//!   batch at a time, like a device: batch k+1 is not formed while batch k
-//!   is being scored, which is exactly what makes micro-batching the
-//!   throughput lever (`gateway_bench` measures it). The backend is either
-//!   a plain `InferenceSession` or a supervised
-//!   `stisan_serve::ReplicatedEngine`; either way scoring **cannot panic
+//!   [`EngineBackend`] — one batch at a time, like a device: batch k+1 is
+//!   not formed while batch k is being scored, which is exactly what makes
+//!   micro-batching the throughput lever (`gateway_bench` measures it).
+//!   The backend is a supervised `stisan_serve::ReplicatedEngine`, whose
+//!   replica count is the scoring parallelism; scoring **cannot panic
 //!   the gateway** — failures come back as typed [`ServeFailure`]s that
 //!   the dispatcher converts to `INTERNAL` error frames (with the failure
 //!   detail in the message) and the handler writes like any other reply;
@@ -68,7 +67,6 @@ use std::{fmt, io};
 use stisan_data::{EvalInstance, Processed};
 use stisan_obs::{Outcome, Stage, TraceCtx, NO_REPLICA};
 use stisan_serve::{EngineBackend, Reloader};
-use stisan_tensor::suggested_workers;
 
 use crate::batcher::{BatchPolicy, MicroBatcher};
 use crate::protocol::{
@@ -88,12 +86,6 @@ const ACCEPT_IDLE: Duration = Duration::from_millis(5);
 pub struct GatewayConfig {
     /// Micro-batching policy (batch bound, coalescing window, queue bound).
     pub batch: BatchPolicy,
-    /// Worker threads per scored batch. `0` resolves at startup via
-    /// [`stisan_tensor::suggested_workers`] — which honours the
-    /// `STISAN_WORKERS` environment variable — sized for a full batch.
-    /// Precedence: this field, then `STISAN_WORKERS`, then the
-    /// `min(cores, 8)` heuristic.
-    pub workers: usize,
     /// Longest a connection may sit without sending a byte (between frames
     /// or mid-frame) before it is closed.
     pub read_timeout: Duration,
@@ -114,12 +106,11 @@ pub struct GatewayConfig {
 }
 
 impl Default for GatewayConfig {
-    /// Default batching policy, auto worker count, 30 s idle timeout, no
-    /// admin listener, dumps under `results/`, SLO sampler on.
+    /// Default batching policy, 30 s idle timeout, no admin listener, dumps
+    /// under `results/`, SLO sampler on.
     fn default() -> Self {
         GatewayConfig {
             batch: BatchPolicy::default(),
-            workers: 0,
             read_timeout: Duration::from_secs(30),
             admin: None,
             flight_dir: Some(PathBuf::from("results")),
@@ -370,10 +361,8 @@ impl Gateway {
     }
 
     /// Runs the gateway until shutdown, then drains, writes the shutdown
-    /// flight dump, and returns the run's stats. The worker count is
-    /// resolved once, up front (explicit config beats `STISAN_WORKERS`
-    /// beats the core heuristic). The backend is any [`EngineBackend`] — a
-    /// plain `InferenceSession` or a supervised `ReplicatedEngine`.
+    /// flight dump, and returns the run's stats. The backend is an
+    /// [`EngineBackend`] — a supervised `ReplicatedEngine`.
     pub fn serve<B: EngineBackend>(self, backend: &B) -> io::Result<GatewayStats> {
         self.serve_inner(backend, None)
     }
@@ -397,17 +386,13 @@ impl Gateway {
         backend: &B,
         reload: Option<(&dyn Reloader, Duration)>,
     ) -> io::Result<GatewayStats> {
-        let workers = match self.cfg.workers {
-            0 => suggested_workers(self.cfg.batch.sanitized().max_batch_size.max(2)),
-            w => w,
-        };
         self.listener.set_nonblocking(true)?;
         let shared = &*self.shared;
         let read_timeout = self.cfg.read_timeout;
         let admin = self.admin;
         let data = backend.data();
         std::thread::scope(|s| {
-            s.spawn(|| dispatcher(shared, backend, workers));
+            s.spawn(|| dispatcher(shared, backend));
             if let Some(listener) = admin {
                 s.spawn(move || crate::admin::serve_admin(listener, shared));
             }
@@ -506,9 +491,9 @@ fn reload_loop(shared: &Shared, reloader: &dyn Reloader, interval: Duration) {
 
 /// The dispatcher: sleeps until the batcher is ready, enforces deadlines at
 /// dequeue, scores the batch through the backend's panic boundary, replies.
-fn dispatcher<B: EngineBackend>(shared: &Shared, backend: &B, workers: usize) {
+fn dispatcher<B: EngineBackend>(shared: &Shared, backend: &B) {
     loop {
-        let batch = {
+        let (batch, depth) = {
             let mut q = lock(&shared.queue);
             loop {
                 if q.is_empty() && shared.is_shutdown() {
@@ -531,10 +516,9 @@ fn dispatcher<B: EngineBackend>(shared: &Shared, backend: &B, workers: usize) {
                     }
                 };
             }
-            let b = q.take();
-            stisan_obs::gauge("gateway.queue_depth", q.len() as f64);
-            b
+            (q.take(), q.len())
         };
+        stisan_obs::gauge("gateway.queue_depth", depth as f64);
 
         let now = shared.now_us();
         let mut insts = Vec::with_capacity(batch.len());
@@ -570,7 +554,7 @@ fn dispatcher<B: EngineBackend>(shared: &Shared, backend: &B, workers: usize) {
         stisan_obs::counter("gateway.batches_total", 1);
         shared.stats.batches.fetch_add(1, Ordering::Relaxed);
 
-        let outcomes = backend.serve_outcomes(&insts, workers, &mut traces);
+        let outcomes = backend.serve_outcomes(&insts, 0, &mut traces);
         for (((reply, k), outcome), trace) in waiting.into_iter().zip(outcomes).zip(traces) {
             match outcome {
                 Ok(served) => {
@@ -761,12 +745,11 @@ fn handle_conn(
             reply: tx,
             trace,
         };
-        let admitted = {
+        let (admitted, depth) = {
             let mut q = lock(&shared.queue);
-            let r = q.offer(pending, now);
-            stisan_obs::gauge("gateway.queue_depth", q.len() as f64);
-            r
+            (q.offer(pending, now), q.len())
         };
+        stisan_obs::gauge("gateway.queue_depth", depth as f64);
         if admitted.is_err() {
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             stisan_obs::counter("gateway.shed_total", 1);
@@ -838,6 +821,9 @@ pub fn request_to_instance(data: &Processed, req: &Request) -> Result<EvalInstan
     for v in &req.seq {
         if v.poi == 0 || v.poi as usize > data.num_pois {
             return Err(format!("unknown poi id {}", v.poi));
+        }
+        if !v.time.is_finite() {
+            return Err(format!("non-finite timestamp {}", v.time));
         }
     }
     let n = data.max_len;
@@ -935,6 +921,13 @@ mod tests {
         assert!(request_to_instance(&p, &bad_poi).is_err());
         bad_poi.seq[0].poi = 0;
         assert!(request_to_instance(&p, &bad_poi).is_err());
+
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad_time = ok.clone();
+            let last = bad_time.seq.len() - 1;
+            bad_time.seq[last].time = bad;
+            assert!(request_to_instance(&p, &bad_time).is_err(), "time {bad} must be rejected");
+        }
     }
 
     #[test]

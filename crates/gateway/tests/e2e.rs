@@ -36,7 +36,9 @@ use stisan_gateway::server::{
     request_from_instance, Gateway, GatewayConfig, GatewayHandle, GatewayStats,
 };
 use stisan_models::common::TrainConfig;
-use stisan_serve::{InferenceSession, ServeConfig};
+use stisan_serve::{
+    InferenceSession, ReplicatedEngine, ServeConfig, SharedModel, SupervisorConfig,
+};
 
 /// Default config with dump files disabled — e2e tests that *want* dumps
 /// point `flight_dir` at a private temp directory instead.
@@ -116,10 +118,25 @@ impl FrozenScorer for Slow {
     }
 }
 
-/// Binds an ephemeral-port gateway, serves `session` on a scoped thread,
+/// A 1-replica engine over `model`: batches score serially, which is what
+/// the queueing tests (shedding, deadlines, drain) time against.
+fn serial_engine<M: FrozenScorer + Send + Sync>(
+    model: M,
+    p: &Processed,
+    top_k: usize,
+) -> ReplicatedEngine<'_, M> {
+    ReplicatedEngine::new(
+        SharedModel::new(model, 0),
+        p,
+        ServeConfig { top_k, ..Default::default() },
+        SupervisorConfig { replicas: 1, ..SupervisorConfig::default() },
+    )
+}
+
+/// Binds an ephemeral-port gateway, serves `engine` on a scoped thread,
 /// runs `f` with the handle, then shuts down and returns the run's stats.
-fn with_gateway<M: FrozenScorer + Sync>(
-    session: &InferenceSession<'_, M>,
+fn with_gateway<M: FrozenScorer + Send + Sync>(
+    engine: &ReplicatedEngine<'_, M>,
     cfg: GatewayConfig,
     f: impl FnOnce(GatewayHandle),
 ) -> GatewayStats {
@@ -127,7 +144,7 @@ fn with_gateway<M: FrozenScorer + Sync>(
     let handle = gw.handle();
     let mut stats = GatewayStats::default();
     thread::scope(|s| {
-        let server = s.spawn(move || gw.serve(session).expect("gateway serve"));
+        let server = s.spawn(move || gw.serve(engine).expect("gateway serve"));
         // A panic in `f` (a failed assertion) must still shut the gateway
         // down: `thread::scope` joins the server thread on exit, and without
         // the shutdown signal that join never returns — the suite would hang
@@ -168,11 +185,14 @@ fn concurrent_clients_match_direct_serving_bitwise() {
     };
     let mut model = StiSan::new(&p, StisanConfig { train, ..Default::default() });
     model.fit(&p);
-    let session =
-        InferenceSession::new(&model, &p, ServeConfig { top_k: 10, ..Default::default() });
-    let direct: Vec<_> = p.eval.iter().map(|i| session.serve_one(i)).collect();
+    let direct: Vec<_> = {
+        let session =
+            InferenceSession::new(&model, &p, ServeConfig { top_k: 10, ..Default::default() });
+        p.eval.iter().map(|i| session.serve_one(i)).collect()
+    };
+    let engine = serial_engine(model, &p, 10);
 
-    let stats = with_gateway(&session, quiet_cfg(), |handle| {
+    let stats = with_gateway(&engine, quiet_cfg(), |handle| {
         thread::scope(|cs| {
             for c in 0..3usize {
                 let handle = handle.clone();
@@ -202,18 +222,16 @@ fn concurrent_clients_match_direct_serving_bitwise() {
 #[test]
 fn overload_sheds_with_typed_overloaded_frames() {
     let p = processed();
-    let slow = Slow(Duration::from_millis(40));
-    let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
+    let engine = serial_engine(Slow(Duration::from_millis(40)), &p, 5);
     let cfg = GatewayConfig {
         batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 1 },
-        workers: 1,
         ..quiet_cfg()
     };
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 4;
     let ok = AtomicU64::new(0);
     let shed = AtomicU64::new(0);
-    let stats = with_gateway(&session, cfg, |handle| {
+    let stats = with_gateway(&engine, cfg, |handle| {
         thread::scope(|cs| {
             for c in 0..CLIENTS {
                 let handle = handle.clone();
@@ -249,14 +267,12 @@ fn overload_sheds_with_typed_overloaded_frames() {
 #[test]
 fn queued_past_deadline_gets_deadline_exceeded() {
     let p = processed();
-    let slow = Slow(Duration::from_millis(150));
-    let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
+    let engine = serial_engine(Slow(Duration::from_millis(150)), &p, 5);
     let cfg = GatewayConfig {
         batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 8 },
-        workers: 1,
         ..quiet_cfg()
     };
-    let stats = with_gateway(&session, cfg, |handle| {
+    let stats = with_gateway(&engine, cfg, |handle| {
         thread::scope(|cs| {
             let h = handle.clone();
             let pr = &p;
@@ -295,15 +311,13 @@ fn queued_past_deadline_gets_deadline_exceeded() {
 #[test]
 fn shutdown_drains_every_admitted_request() {
     let p = processed();
-    let slow = Slow(Duration::from_millis(60));
-    let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
+    let engine = serial_engine(Slow(Duration::from_millis(60)), &p, 5);
     let cfg = GatewayConfig {
         batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 16 },
-        workers: 1,
         ..quiet_cfg()
     };
     const CLIENTS: usize = 4;
-    let stats = with_gateway(&session, cfg, |handle| {
+    let stats = with_gateway(&engine, cfg, |handle| {
         thread::scope(|cs| {
             let mut joins = Vec::new();
             for c in 0..CLIENTS {
@@ -341,9 +355,8 @@ fn shutdown_drains_every_admitted_request() {
 #[test]
 fn malformed_bytes_get_typed_errors() {
     let p = processed();
-    let session =
-        InferenceSession::new(&NearLast, &p, ServeConfig { top_k: 5, ..Default::default() });
-    let stats = with_gateway(&session, quiet_cfg(), |handle| {
+    let engine = serial_engine(NearLast, &p, 5);
+    let stats = with_gateway(&engine, quiet_cfg(), |handle| {
         // CRC flip: MALFORMED, then close.
         let mut raw = TcpStream::connect(handle.addr()).expect("connect");
         let mut bytes = encode(&Frame::Request(request_from_instance(&p, &p.eval[0], 5, 0)));
@@ -388,15 +401,24 @@ fn malformed_bytes_get_typed_errors() {
 #[test]
 fn bad_request_keeps_connection_usable_and_k_is_capped() {
     let p = processed();
-    let session =
-        InferenceSession::new(&NearLast, &p, ServeConfig { top_k: 10, ..Default::default() });
-    let stats = with_gateway(&session, quiet_cfg(), |handle| {
+    let engine = serial_engine(NearLast, &p, 10);
+    let stats = with_gateway(&engine, quiet_cfg(), |handle| {
         let mut client = GatewayClient::connect(handle.addr()).expect("connect");
         let mut bad = request_from_instance(&p, &p.eval[0], 5, 0);
         bad.user = p.num_users as u32 + 3;
         match client.recommend(&bad) {
             Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::BadRequest),
             other => panic!("expected BAD_REQUEST, got {other:?}"),
+        }
+        // A non-finite timestamp would poison the relation matrix: rejected
+        // at admission, never scored.
+        for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = request_from_instance(&p, &p.eval[0], 5, 0);
+            bad.seq[0].time = time;
+            match client.recommend(&bad) {
+                Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::BadRequest),
+                other => panic!("time {time}: expected BAD_REQUEST, got {other:?}"),
+            }
         }
         // Same connection, small k: exactly 3 items.
         let resp = client
@@ -409,7 +431,7 @@ fn bad_request_keeps_connection_usable_and_k_is_capped() {
             .expect("oversized k is capped");
         assert_eq!(resp.items.len(), 10);
     });
-    assert_eq!(stats.bad_requests, 1);
+    assert_eq!(stats.bad_requests, 4);
     assert_eq!(stats.served, 2);
 }
 
@@ -422,14 +444,12 @@ fn trace_echo_roundtrips_with_monotonic_accounting_timings() {
     let p = processed();
     // 80 ms of scoring dominates; loopback transport overhead sits far
     // inside the 5% accounting slack (4 ms).
-    let slow = Slow(Duration::from_millis(80));
-    let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
+    let engine = serial_engine(Slow(Duration::from_millis(80)), &p, 5);
     let cfg = GatewayConfig {
         batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 8 },
-        workers: 1,
         ..quiet_cfg()
     };
-    let stats = with_gateway(&session, cfg, |handle| {
+    let stats = with_gateway(&engine, cfg, |handle| {
         let mut client = GatewayClient::connect(handle.addr()).expect("connect");
         let mut req = request_from_instance(&p, &p.eval[0], 5, 0);
         req.trace_id = Some(0xDEAD_BEEF_0001);
@@ -473,8 +493,7 @@ fn trace_echo_roundtrips_with_monotonic_accounting_timings() {
 #[test]
 fn admin_endpoint_serves_parseable_metrics_health_and_dumps() {
     let p = processed();
-    let session =
-        InferenceSession::new(&NearLast, &p, ServeConfig { top_k: 5, ..Default::default() });
+    let engine = serial_engine(NearLast, &p, 5);
     let cfg = GatewayConfig {
         admin: Some("127.0.0.1:0".parse().expect("admin addr")),
         ..quiet_cfg()
@@ -483,7 +502,7 @@ fn admin_endpoint_serves_parseable_metrics_health_and_dumps() {
     let handle = gw.handle();
     let admin = handle.admin_addr().expect("admin listener must be bound");
     thread::scope(|s| {
-        let server = s.spawn(|| gw.serve(&session).expect("gateway serve"));
+        let server = s.spawn(|| gw.serve(&engine).expect("gateway serve"));
         let mut client = GatewayClient::connect(handle.addr()).expect("connect");
         for (i, inst) in p.eval.iter().take(4).enumerate() {
             let mut req = request_from_instance(&p, inst, 5, 0);
@@ -529,19 +548,17 @@ fn admin_endpoint_serves_parseable_metrics_health_and_dumps() {
 #[test]
 fn overload_flood_writes_flight_dumps_with_shed_events() {
     let p = processed();
-    let slow = Slow(Duration::from_millis(40));
-    let session = InferenceSession::new(&slow, &p, ServeConfig { top_k: 5, ..Default::default() });
+    let engine = serial_engine(Slow(Duration::from_millis(40)), &p, 5);
     let dir = std::env::temp_dir().join(format!("stisan-gw-flightrec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = GatewayConfig {
         batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 1 },
-        workers: 1,
         flight_dir: Some(dir.clone()),
         ..quiet_cfg()
     };
     const CLIENTS: usize = 8;
     const ROUNDS: usize = 4;
-    let stats = with_gateway(&session, cfg, |handle| {
+    let stats = with_gateway(&engine, cfg, |handle| {
         thread::scope(|cs| {
             for c in 0..CLIENTS {
                 let handle = handle.clone();

@@ -27,7 +27,7 @@ use stisan_gateway::server::{request_from_instance, Gateway, GatewayConfig};
 use stisan_gateway::SloConfig;
 use stisan_gateway::client::GatewayClient;
 use stisan_obs::{AlertPolicy, Objective, TsConfig};
-use stisan_serve::{InferenceSession, ServeConfig};
+use stisan_serve::{ReplicatedEngine, ServeConfig, SharedModel, SupervisorConfig};
 
 fn processed() -> Processed {
     let cfg = GenConfig {
@@ -101,7 +101,13 @@ fn fast_slo() -> SloConfig {
 #[test]
 fn overload_fires_availability_alert_dumps_flight_ring_and_resolves() {
     let p = processed();
-    let session = InferenceSession::new(&Slow, &p, ServeConfig { top_k: 10, ..Default::default() });
+    // One replica: the "one 3 ms worker" the flood below overloads.
+    let engine = ReplicatedEngine::new(
+        SharedModel::new(Slow, 0),
+        &p,
+        ServeConfig { top_k: 10, ..Default::default() },
+        SupervisorConfig { replicas: 1, ..SupervisorConfig::default() },
+    );
     let n_inst = p.eval.len();
 
     let dump_dir =
@@ -110,7 +116,6 @@ fn overload_fires_availability_alert_dumps_flight_ring_and_resolves() {
 
     let cfg = GatewayConfig {
         batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 2 },
-        workers: 1,
         admin: Some("127.0.0.1:0".parse().expect("admin addr")),
         flight_dir: Some(dump_dir.clone()),
         slo: Some(fast_slo()),
@@ -124,7 +129,7 @@ fn overload_fires_availability_alert_dumps_flight_ring_and_resolves() {
 
     let stop_flood = AtomicBool::new(false);
     thread::scope(|s| {
-        let server = s.spawn(|| gw.serve(&session).expect("gateway serve"));
+        let server = s.spawn(|| gw.serve(&engine).expect("gateway serve"));
 
         // --- Phase 1: incident. Eight closed-loop clients against one
         // 3 ms worker behind a 2-deep queue: the gateway sheds most of the

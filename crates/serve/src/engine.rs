@@ -1,14 +1,14 @@
 //! The inference engine: frozen-forward scoring, geo pruning, two-stage
-//! retrieval, parallel batch serving.
+//! retrieval, bounded top-K — one request at a time. Batches, parallelism and
+//! supervision live in [`crate::ReplicatedEngine`].
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use stisan_data::{EvalInstance, Processed};
 use stisan_eval::FrozenScorer;
-use stisan_obs::{Stage, TraceCtx};
 use stisan_retrieval::{QuantLevel, RetrievalState, RetrievalStats, SeenSet};
-use stisan_tensor::{suggested_workers, Arena, Array};
+use stisan_tensor::{Arena, Array};
 
 use crate::topk::{top_k_into, TopKScratch};
 
@@ -55,18 +55,8 @@ pub enum PruningPolicy {
 pub struct ServeConfig {
     /// Recommendations returned per request.
     pub top_k: usize,
-    /// Worker threads for [`InferenceSession::serve_batch`]; `0` picks
-    /// automatically via [`stisan_tensor::suggested_workers`] (the same
-    /// heuristic `Array::bmm` fans out with).
-    pub workers: usize,
     /// Candidate pruning policy.
     pub pruning: PruningPolicy,
-    /// Serve forward passes from recycled arena buffers
-    /// ([`FrozenScorer::score_frozen_into`]); off falls back to fresh-alloc
-    /// [`FrozenScorer::score_frozen`]. Scores are bit-identical either way
-    /// (the arena parity suite asserts it) — this switch exists for A/B
-    /// benchmarking and as an operational escape hatch.
-    pub arena: bool,
     /// Precision of the candidate-embedding table under
     /// [`PruningPolicy::TwoStage`] (ignored by the other policies):
     /// `F32` scores exactly through the model's own table; `F16`/`I8`
@@ -77,16 +67,9 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// Top-10, automatic worker count, no pruning, arena-backed scoring,
-    /// exact (f32) tables.
+    /// Top-10, no pruning, exact (f32) tables.
     fn default() -> Self {
-        ServeConfig {
-            top_k: 10,
-            workers: 0,
-            pruning: PruningPolicy::Full,
-            arena: true,
-            quant: QuantLevel::F32,
-        }
+        ServeConfig { top_k: 10, pruning: PruningPolicy::Full, quant: QuantLevel::F32 }
     }
 }
 
@@ -122,6 +105,15 @@ impl ServeScratch {
     }
 }
 
+/// Publishes the `retrieval.table_bytes` / `retrieval.bytes_per_poi` gauges.
+/// Called where retrieval state is built or installed (session build,
+/// replica-pool build, hot-reload publish) — never per batch.
+pub(crate) fn publish_retrieval_gauges(state: &RetrievalState) {
+    let bytes = state.table_bytes() as f64;
+    stisan_obs::gauge("retrieval.table_bytes", bytes);
+    stisan_obs::gauge("retrieval.bytes_per_poi", bytes / state.index.num_pois().max(1) as f64);
+}
+
 /// Upper bound on pooled [`ServeScratch`] instances; beyond this,
 /// checked-in scratches are dropped instead of pooled (bounds memory under a
 /// transient worker spike).
@@ -140,7 +132,7 @@ pub struct Recommendation {
 }
 
 /// A loaded model ready to serve requests: frozen weights, no autodiff tape,
-/// optional geo pruning, parallel batch scoring.
+/// optional geo pruning, arena-backed scoring.
 ///
 /// The model must implement [`FrozenScorer`], whose contract guarantees
 /// bit-identical scores to the tape-based evaluation path (see DESIGN.md §9
@@ -155,7 +147,7 @@ pub struct InferenceSession<'a, M: FrozenScorer + Sync> {
     /// sessions serving the same model epoch. `None` outside
     /// [`PruningPolicy::TwoStage`] or when the model exports no table.
     retrieval: Option<Arc<RetrievalState>>,
-    /// Pool of per-request scratch state (arena + engine buffers). Workers
+    /// Pool of per-request scratch state (arena + engine buffers). Callers
     /// check one out per request and return it warmed, so steady-state
     /// serving reuses buffers instead of allocating.
     scratch: Mutex<Vec<ServeScratch>>,
@@ -175,6 +167,9 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
                 .map(|t| Arc::new(RetrievalState::build(data, t, cfg.quant))),
             _ => None,
         };
+        if let Some(state) = &retrieval {
+            publish_retrieval_gauges(state);
+        }
         Self::with_retrieval(model, data, cfg, retrieval)
     }
 
@@ -187,14 +182,6 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
         cfg: ServeConfig,
         retrieval: Option<Arc<RetrievalState>>,
     ) -> Self {
-        if let Some(state) = &retrieval {
-            let bytes = state.table_bytes() as f64;
-            stisan_obs::gauge("retrieval.table_bytes", bytes);
-            stisan_obs::gauge(
-                "retrieval.bytes_per_poi",
-                bytes / state.index.num_pois().max(1) as f64,
-            );
-        }
         InferenceSession { model, data, cfg, retrieval, scratch: Mutex::new(Vec::new()) }
     }
 
@@ -308,18 +295,11 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
         None
     }
 
-    /// Allocating convenience wrapper over [`InferenceSession::candidates_into`].
-    pub fn candidates(&self, inst: &EvalInstance) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.candidates_into(inst, &mut out);
-        out
-    }
-
     /// Serves one request into caller-provided storage: prune, score on the
-    /// frozen backend, select top-K. With [`ServeConfig::arena`] on, a
-    /// warmed-up `scratch` makes the whole call allocation-free under
-    /// [`PruningPolicy::Full`] (`tests/zero_alloc.rs`); results are always
-    /// bit-identical to [`InferenceSession::serve_one`].
+    /// frozen backend, select top-K. A warmed-up `scratch` makes the whole
+    /// call allocation-free under [`PruningPolicy::Full`]
+    /// (`tests/zero_alloc.rs`); results are always bit-identical to
+    /// [`InferenceSession::serve_one`].
     ///
     /// Instrumented with `serve.latency_ms` (histogram) and
     /// `serve.pruned_candidates` (counter of candidates skipped by pruning).
@@ -388,7 +368,7 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
                 &mut scratch.scores,
             );
             scratch.arena.recycle_array(embeds);
-        } else if self.cfg.arena {
+        } else {
             self.model.score_frozen_into(
                 self.data,
                 inst,
@@ -396,10 +376,6 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
                 &mut scratch.arena,
                 &mut scratch.scores,
             );
-        } else {
-            let scores = self.model.score_frozen(self.data, inst, &scratch.cands);
-            scratch.scores.clear();
-            scratch.scores.extend_from_slice(&scores);
         }
         top_k_into(&scratch.scores, self.cfg.top_k, &mut scratch.topk, &mut scratch.ranked);
         rec.items.clear();
@@ -431,119 +407,6 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
         self.serve_one_into(inst, &mut scratch, &mut rec);
         self.checkin_scratch(scratch);
         rec
-    }
-
-    /// Serves a batch of requests, fanning out across a scoped worker pool.
-    ///
-    /// Each worker owns a disjoint slice of the output, so results are
-    /// position-for-position identical to a sequential [`serve_one`] loop
-    /// (workers share nothing but the frozen weights). Worker count follows
-    /// [`ServeConfig::workers`]. Records `serve.batch_size`.
-    ///
-    /// [`serve_one`]: InferenceSession::serve_one
-    pub fn serve_batch(&self, insts: &[EvalInstance]) -> Vec<Recommendation> {
-        let workers = match self.cfg.workers {
-            0 => suggested_workers(insts.len()),
-            w => w,
-        };
-        self.serve_batch_on(insts, workers)
-    }
-
-    /// [`serve_batch`] with an explicit worker count — the batch-scoring
-    /// entry point for callers that pre-group requests themselves (the
-    /// gateway's micro-batcher hands its batches here, with the pool size it
-    /// resolved at startup), bypassing [`ServeConfig::workers`].
-    ///
-    /// `workers` is clamped to `1..=insts.len()`; results are
-    /// position-for-position identical to a sequential [`serve_one`] loop
-    /// for every worker count.
-    ///
-    /// [`serve_batch`]: InferenceSession::serve_batch
-    /// [`serve_one`]: InferenceSession::serve_one
-    pub fn serve_batch_on(&self, insts: &[EvalInstance], workers: usize) -> Vec<Recommendation> {
-        self.batch_inner(insts, workers, None)
-    }
-
-    /// [`serve_batch_on`] carrying request traces: each instance's
-    /// [`TraceCtx`] gets its [`Stage::Scored`] stamp the moment *that*
-    /// instance finishes scoring inside its worker, so per-request scoring
-    /// time is attributed exactly even when batch-mates are slower.
-    /// `traces` must be position-parallel to `insts`.
-    ///
-    /// [`serve_batch_on`]: InferenceSession::serve_batch_on
-    pub fn serve_batch_traced(
-        &self,
-        insts: &[EvalInstance],
-        workers: usize,
-        traces: &mut [TraceCtx],
-    ) -> Vec<Recommendation> {
-        self.batch_inner(insts, workers, Some(traces))
-    }
-
-    fn batch_inner(
-        &self,
-        insts: &[EvalInstance],
-        workers: usize,
-        traces: Option<&mut [TraceCtx]>,
-    ) -> Vec<Recommendation> {
-        stisan_obs::observe("serve.batch_size", insts.len() as f64);
-        let workers = workers.min(insts.len()).max(1);
-        // Normalize to one optional trace slot per instance so the chunked
-        // fan-out below is identical with and without tracing.
-        let mut slots: Vec<Option<&mut TraceCtx>> = match traces {
-            Some(ts) => {
-                assert_eq!(ts.len(), insts.len(), "serve_batch_traced: traces misaligned");
-                ts.iter_mut().map(Some).collect()
-            }
-            None => insts.iter().map(|_| None).collect(),
-        };
-        if workers <= 1 {
-            let mut scratch = self.checkout_scratch();
-            let out = insts
-                .iter()
-                .zip(slots.iter_mut())
-                .map(|(i, t)| {
-                    let mut rec = Recommendation::default();
-                    self.serve_one_into(i, &mut scratch, &mut rec);
-                    if let Some(t) = t {
-                        t.stamp(Stage::Scored);
-                    }
-                    rec
-                })
-                .collect();
-            self.checkin_scratch(scratch);
-            return out;
-        }
-        let mut out: Vec<Option<Recommendation>> = vec![None; insts.len()];
-        let chunk = insts.len().div_ceil(workers);
-        let scope = crossbeam::thread::scope(|scope| {
-            for ((in_chunk, out_chunk), tr_chunk) in
-                insts.chunks(chunk).zip(out.chunks_mut(chunk)).zip(slots.chunks_mut(chunk))
-            {
-                scope.spawn(move |_| {
-                    // One scratch per worker for the whole chunk: requests on
-                    // a worker reuse each other's warmed buffers.
-                    let mut scratch = self.checkout_scratch();
-                    for ((inst, slot), t) in
-                        in_chunk.iter().zip(out_chunk.iter_mut()).zip(tr_chunk.iter_mut())
-                    {
-                        let mut rec = Recommendation::default();
-                        self.serve_one_into(inst, &mut scratch, &mut rec);
-                        *slot = Some(rec);
-                        if let Some(t) = t {
-                            t.stamp(Stage::Scored);
-                        }
-                    }
-                    self.checkin_scratch(scratch);
-                });
-            }
-        });
-        if scope.is_err() {
-            panic!("serve_batch: a worker thread panicked");
-        }
-        let results: Vec<Recommendation> = out.into_iter().flatten().collect();
-        assert_eq!(results.len(), insts.len(), "serve_batch: lost results");
-        results
     }
 }
 
@@ -619,45 +482,5 @@ mod tests {
             },
         );
         assert_eq!(strict.serve_one(&p.eval[0]).scored, p.num_pois);
-    }
-
-    #[test]
-    fn traced_batch_stamps_scored_per_instance() {
-        let p = processed();
-        let s = InferenceSession::new(&NearLast, &p, ServeConfig::default());
-        for workers in [1usize, 3] {
-            let mut traces: Vec<TraceCtx> =
-                (0..p.eval.len()).map(|i| TraceCtx::new(i as u64)).collect();
-            let recs = s.serve_batch_traced(&p.eval, workers, &mut traces);
-            assert_eq!(recs.len(), traces.len());
-            for t in &traces {
-                assert!(t.get(Stage::Scored).is_some(), "workers={workers}");
-                assert!(t.is_monotonic());
-            }
-            // Traced and untraced scoring are the same computation.
-            let plain = s.serve_batch_on(&p.eval, workers);
-            for (a, b) in recs.iter().zip(&plain) {
-                assert_eq!(a.items, b.items);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_matches_sequential_and_any_worker_count() {
-        let p = processed();
-        let s = InferenceSession::new(&NearLast, &p, ServeConfig::default());
-        let seq: Vec<Recommendation> = p.eval.iter().map(|i| s.serve_one(i)).collect();
-        for workers in [0usize, 1, 2, 7] {
-            let s = InferenceSession::new(
-                &NearLast,
-                &p,
-                ServeConfig { workers, ..ServeConfig::default() },
-            );
-            let par = s.serve_batch(&p.eval);
-            assert_eq!(par.len(), seq.len());
-            for (a, b) in par.iter().zip(&seq) {
-                assert_eq!(a.items, b.items, "workers={workers}");
-            }
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! # stisan-serve — tape-free parallel inference engine
+//! # stisan-serve — tape-free replicated inference engine
 //!
 //! Production-flavoured serving for the model zoo (see DESIGN.md §9):
 //!
@@ -16,13 +16,15 @@
 //!   tile rings + popularity prior) and scores them against a candidate-
 //!   embedding table held at [`ServeConfig::quant`] precision
 //!   (f32/f16/int8), the million-POI serving path of DESIGN.md §15.
-//! * **Parallel batches** — [`InferenceSession::serve_batch`] fans requests
-//!   out over crossbeam scoped threads sized by
-//!   [`stisan_tensor::suggested_workers`] (tunable in deployment via the
-//!   `STISAN_WORKERS` environment variable), each worker writing a disjoint
-//!   output slice. [`InferenceSession::serve_batch_on`] is the same scorer
-//!   with an explicit worker count — the entry point the `stisan-gateway`
-//!   micro-batcher feeds with pre-grouped network requests.
+//! * **One request, one way** — [`InferenceSession::serve_one`] (or
+//!   [`InferenceSession::serve_one_into`] with caller-held [`ServeScratch`])
+//!   is the only scoring path: candidates → arena-backed frozen forward →
+//!   top-K.
+//! * **One batch entry point** — [`EngineBackend::serve_outcomes`] on a
+//!   [`ReplicatedEngine`] (the sole backend; 1 replica = serial) routes a
+//!   batch by user across [`SupervisorConfig::replicas`] scoring threads.
+//!   It is what the `stisan-gateway` micro-batcher feeds and what
+//!   `BENCHMARK.json`'s four workloads measure.
 //! * **Bounded top-K** — [`top_k`] selects recommendations in `O(n log k)`
 //!   with full-sort-identical tie-breaking.
 //!
@@ -43,7 +45,7 @@
 //!   (via `stisan_nn::fault`) corrupt checkpoints to prove all of the
 //!   above under load.
 //!
-//! Instrumented with `serve.latency_ms`, `serve.batch_size` (histograms) and
+//! Instrumented with `serve.latency_ms` (histogram) and
 //! `serve.pruned_candidates` (counter) via `stisan-obs`, plus the
 //! `gateway.replica_*` / `reload.*` fleet series. Throughput and tail
 //! latency against the tape-based path are measured by the `serve_bench`

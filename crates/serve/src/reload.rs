@@ -337,7 +337,7 @@ impl<'d, M: FrozenScorer + Send + Sync> ReloadWatcher<'d, M> {
                 exact.iter().zip(&row).all(|(a, b)| (a - b).abs() <= bound)
             });
         if valid {
-            stisan_obs::gauge("retrieval.table_bytes", state.table_bytes() as f64);
+            crate::engine::publish_retrieval_gauges(&state);
             Some(Arc::new(state))
         } else {
             stisan_obs::counter("reload.requantize_rejected_total", 1);

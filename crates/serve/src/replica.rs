@@ -44,7 +44,7 @@ use stisan_obs::{Stage, TraceCtx};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::chaos::splitmix64;
-use crate::engine::{InferenceSession, Recommendation, ServeConfig};
+use crate::engine::{publish_retrieval_gauges, InferenceSession, Recommendation, ServeConfig};
 use crate::fallback::FallbackScorer;
 use crate::reload::SharedModel;
 
@@ -91,53 +91,24 @@ impl std::fmt::Display for ServeFailure {
 /// Per-request outcome of a supervised batch.
 pub type ServeOutcome = Result<ServedRec, ServeFailure>;
 
-/// The scoring surface the gateway dispatcher drives. Implemented by the
-/// plain [`InferenceSession`] (one unsupervised replica, still
-/// panic-bounded) and by [`ReplicatedEngine`]. `traces` must be
-/// position-parallel to `insts`.
+/// The scoring surface the gateway dispatcher drives; [`ReplicatedEngine`]
+/// is its one implementor. `traces` must be position-parallel to `insts`.
 pub trait EngineBackend: Sync {
     /// Dataset context requests are validated and served against.
     fn data(&self) -> &Processed;
 
     /// Scores a batch, never panicking: per-request failures come back as
-    /// typed [`ServeFailure`]s.
+    /// typed [`ServeFailure`]s. Each instance's [`TraceCtx`] gets its
+    /// [`Stage::Scored`] stamp the moment *that* instance finishes scoring,
+    /// so per-request scoring time is attributed exactly even when
+    /// batch-mates are slower. `workers` is ignored and kept only for
+    /// existing callers: parallelism is [`SupervisorConfig::replicas`].
     fn serve_outcomes(
         &self,
         insts: &[EvalInstance],
         workers: usize,
         traces: &mut [TraceCtx],
     ) -> Vec<ServeOutcome>;
-}
-
-impl<M: FrozenScorer + Sync> EngineBackend for InferenceSession<'_, M> {
-    fn data(&self) -> &Processed {
-        InferenceSession::data(self)
-    }
-
-    /// The single-session backend: replica 0, epoch 0. A panicking scorer
-    /// fails the whole batch as typed errors instead of killing the
-    /// process (results computed before the panic are not recovered; the
-    /// replicated backend does better).
-    fn serve_outcomes(
-        &self,
-        insts: &[EvalInstance],
-        workers: usize,
-        traces: &mut [TraceCtx],
-    ) -> Vec<ServeOutcome> {
-        let scored = catch_unwind(AssertUnwindSafe(|| {
-            self.serve_batch_traced(insts, workers, traces)
-        }));
-        match scored {
-            Ok(recs) => recs
-                .into_iter()
-                .map(|rec| Ok(ServedRec { rec, replica: 0, epoch: 0, degraded: false }))
-                .collect(),
-            Err(_) => {
-                stisan_obs::counter("gateway.replica_panics_total", 1);
-                insts.iter().map(|_| Err(ServeFailure::ReplicaPanic { replica: 0 })).collect()
-            }
-        }
-    }
 }
 
 /// Supervisor tuning for [`ReplicatedEngine`].
@@ -235,6 +206,9 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
             })
             .collect();
         let fallback = FallbackScorer::build(data);
+        if let Some(state) = &model.current().retrieval {
+            publish_retrieval_gauges(state);
+        }
         stisan_obs::gauge("gateway.replicas_total", sup.replicas as f64);
         stisan_obs::gauge("gateway.replicas_healthy", sup.replicas as f64);
         ReplicatedEngine {
@@ -376,8 +350,8 @@ impl<M: FrozenScorer + Send + Sync> EngineBackend for ReplicatedEngine<'_, M> {
         self.data
     }
 
-    /// Routes, scores, supervises (see the module docs). `workers` is
-    /// ignored: parallelism is one thread per replica group here.
+    /// Routes, scores, supervises (see the module docs): one thread per
+    /// replica group.
     fn serve_outcomes(
         &self,
         insts: &[EvalInstance],
@@ -593,26 +567,31 @@ mod tests {
     fn healthy_replicas_match_single_session_bitwise() {
         let p = processed();
         let prior = WeightedPrior::seeded(p.num_pois, 3);
-        let shared = SharedModel::new(WeightedPrior::seeded(p.num_pois, 3), 1);
-        let eng = ReplicatedEngine::new(shared, &p, ServeConfig::default(), sup(3));
-        let mut traces: Vec<TraceCtx> =
-            (0..p.eval.len()).map(|i| TraceCtx::new(i as u64)).collect();
-        let outs = eng.serve_outcomes(&p.eval, 2, &mut traces);
         let direct = InferenceSession::new(&prior, &p, ServeConfig::default());
-        assert_eq!(outs.len(), p.eval.len());
-        for (inst, out) in p.eval.iter().zip(outs) {
-            let served = out.expect("healthy pool must answer");
-            assert!(!served.degraded);
-            assert_eq!(served.epoch, 1);
-            assert!((served.replica as usize) < 3);
-            assert_eq!(
-                served.rec.items,
-                direct.serve_one(inst).items,
-                "replicated answers must be bit-identical to a direct session"
-            );
-        }
-        for t in &traces {
-            assert!(t.get(Stage::Scored).is_some());
+        for replicas in [1usize, 2, 3, 5] {
+            let shared = SharedModel::new(WeightedPrior::seeded(p.num_pois, 3), 1);
+            let eng = ReplicatedEngine::new(shared, &p, ServeConfig::default(), sup(replicas));
+            let mut traces: Vec<TraceCtx> =
+                (0..p.eval.len()).map(|i| TraceCtx::new(i as u64)).collect();
+            let outs = eng.serve_outcomes(&p.eval, 0, &mut traces);
+            assert_eq!(outs.len(), p.eval.len());
+            for (inst, out) in p.eval.iter().zip(outs) {
+                let served = out.expect("healthy pool must answer");
+                assert!(!served.degraded);
+                assert_eq!(served.epoch, 1);
+                assert!((served.replica as usize) < replicas);
+                assert_eq!(
+                    served.rec.items,
+                    direct.serve_one(inst).items,
+                    "replicas={replicas}: a batch must be bit-identical to a sequential \
+                     serve_one loop on a direct session"
+                );
+            }
+            // Every instance is stamped when *it* finishes scoring.
+            for t in &traces {
+                assert!(t.get(Stage::Scored).is_some(), "replicas={replicas}");
+                assert!(t.is_monotonic(), "replicas={replicas}");
+            }
         }
     }
 
@@ -662,83 +641,47 @@ mod tests {
     #[test]
     fn all_dead_degrades_to_fallback_and_restarts_revive() {
         let p = processed();
-        let plan = ChaosPlan::new();
-        let scorer = ChaosScorer::new(WeightedPrior::seeded(p.num_pois, 3), plan.clone());
-        let shared = SharedModel::new(scorer, 7);
-        let mut cfg = sup(2);
-        cfg.restart_base_us = 1; // immediate restart eligibility
-        cfg.restart_max_us = 2;
-        let eng = ReplicatedEngine::new(shared, &p, ServeConfig::default(), cfg);
         crate::chaos::silence_chaos_panics();
-
-        // Kill both replicas across two batches.
-        for _ in 0..2 {
-            plan.arm_panic(1);
-            let mut tr: Vec<TraceCtx> = (0..1).map(|i| TraceCtx::new(i as u64)).collect();
-            let _ = eng.serve_outcomes(&p.eval[..1], 1, &mut tr);
-        }
-        // Both may already have restarted (backoff ~1µs); force the dead
-        // state by arming panics faster than batches:
-        // instead assert the degraded path directly with fallback answers.
         let fb = FallbackScorer::build(&p);
         let direct = InferenceSession::new(&fb, &p, ServeConfig::default());
-        let mut cfg2 = sup(1);
-        cfg2.restart_base_us = 10_000_000;
-        let plan2 = ChaosPlan::new();
-        let scorer2 = ChaosScorer::new(WeightedPrior::seeded(p.num_pois, 3), plan2.clone());
-        let eng2 = ReplicatedEngine::new(SharedModel::new(scorer2, 7), &p, ServeConfig::default(), cfg2);
-        plan2.arm_panic(1);
-        let mut tr: Vec<TraceCtx> = (0..2).map(|i| TraceCtx::new(i as u64)).collect();
-        let outs = eng2.serve_outcomes(&p.eval[..2], 1, &mut tr);
-        assert_eq!(eng2.healthy_count(), 0);
-        let degraded: Vec<&ServedRec> =
-            outs.iter().filter_map(|o| o.as_ref().ok()).filter(|s| s.degraded).collect();
-        assert!(!degraded.is_empty(), "dead pool must serve degraded answers");
-        for s in &degraded {
-            assert_eq!(s.replica, FALLBACK_REPLICA);
-        }
-        // Degraded answers are bit-identical to the fallback scorer.
-        for (inst, out) in p.eval[..2].iter().zip(&outs) {
-            if let Ok(s) = out {
-                if s.degraded {
-                    assert_eq!(s.rec.items, direct.serve_one(inst).items);
-                }
-            }
-        }
-        // Next batch: with fallback disabled and everything dead, outcomes
-        // are typed failures, not panics.
-        let plan3 = ChaosPlan::new();
-        let scorer3 = ChaosScorer::new(WeightedPrior::seeded(p.num_pois, 3), plan3.clone());
-        let mut cfg3 = sup(1);
-        cfg3.fallback = false;
-        cfg3.restart_base_us = 10_000_000;
-        let eng3 = ReplicatedEngine::new(SharedModel::new(scorer3, 7), &p, ServeConfig::default(), cfg3);
-        plan3.arm_panic(1);
-        let mut tr3: Vec<TraceCtx> = (0..2).map(|i| TraceCtx::new(i as u64)).collect();
-        let outs3 = eng3.serve_outcomes(&p.eval[..2], 1, &mut tr3);
-        assert!(outs3.iter().any(|o| o.is_err()), "fallback off: typed failures expected");
-        for o in &outs3 {
-            if let Err(f) = o {
-                let msg = f.to_string();
-                assert!(!msg.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn single_session_backend_converts_panics_to_failures() {
-        let p = processed();
         let plan = ChaosPlan::new();
-        let scorer = ChaosScorer::new(WeightedPrior::seeded(p.num_pois, 1), plan.clone());
-        let session = InferenceSession::new(&scorer, &p, ServeConfig::default());
-        crate::chaos::silence_chaos_panics();
+        let scorer = ChaosScorer::new(WeightedPrior::seeded(p.num_pois, 3), plan.clone());
+        let eng = ReplicatedEngine::new(SharedModel::new(scorer, 7), &p, ServeConfig::default(), sup(1));
         plan.arm_panic(1);
         let mut tr: Vec<TraceCtx> = (0..2).map(|i| TraceCtx::new(i as u64)).collect();
-        let outs = EngineBackend::serve_outcomes(&session, &p.eval[..2], 1, &mut tr);
-        assert_eq!(outs.len(), 2);
-        assert!(outs.iter().all(|o| matches!(o, Err(ServeFailure::ReplicaPanic { replica: 0 }))));
-        // And a healthy call still works through the trait.
-        let outs = EngineBackend::serve_outcomes(&session, &p.eval[..2], 1, &mut tr);
-        assert!(outs.iter().all(|o| o.is_ok()));
+        let outs = eng.serve_outcomes(&p.eval[..2], 0, &mut tr);
+        assert_eq!(eng.healthy_count(), 0);
+        // The dead pool answers in degraded mode, bit-identical to the
+        // fallback scorer.
+        for (inst, out) in p.eval[..2].iter().zip(&outs) {
+            let s = out.as_ref().expect("fallback on: a dead pool still answers");
+            assert!(s.degraded);
+            assert_eq!(s.replica, FALLBACK_REPLICA);
+            assert_eq!(s.rec.items, direct.serve_one(inst).items);
+        }
+
+        // Fallback off: the one replica's panic surfaces as typed failures,
+        // never as a panic of the caller.
+        let plan = ChaosPlan::new();
+        let scorer = ChaosScorer::new(WeightedPrior::seeded(p.num_pois, 3), plan.clone());
+        let cfg = SupervisorConfig {
+            fallback: false,
+            restart_base_us: 1,
+            restart_max_us: 2,
+            ..sup(1)
+        };
+        let eng = ReplicatedEngine::new(SharedModel::new(scorer, 7), &p, ServeConfig::default(), cfg);
+        plan.arm_panic(1);
+        let outs = eng.serve_outcomes(&p.eval[..2], 0, &mut tr);
+        for o in &outs {
+            let f = o.as_ref().expect_err("fallback off: typed failures expected");
+            assert_eq!(*f, ServeFailure::ReplicaPanic { replica: 0 });
+            assert!(!f.to_string().is_empty());
+        }
+        // Once the supervisor has restarted the replica, it serves again.
+        while eng.healthy_count() == 0 {
+            eng.tick();
+        }
+        assert!(eng.serve_outcomes(&p.eval[..2], 0, &mut tr).iter().all(|o| o.is_ok()));
     }
 }

@@ -1,15 +1,19 @@
 //! Arena-serving parity: `FrozenScorer::score_frozen_into` drawing every
 //! scratch buffer from a recycled (even poisoned) arena must be
 //! **bit-for-bit** identical to fresh-allocation frozen scoring — and both
-//! to the tape. This is the guarantee that lets the engine default to
-//! `ServeConfig::arena` without any numerical risk (DESIGN.md §14).
+//! to the tape. This is the guarantee that lets the engine score every
+//! request from recycled arena storage without any numerical risk
+//! (DESIGN.md §14).
 
 use stisan_core::{StiSan, StisanConfig};
 use stisan_data::{generate, preprocess, DatasetPreset, GenConfig, PrepConfig, Processed};
 use stisan_eval::{build_candidates, FrozenScorer};
 use stisan_models::common::TrainConfig;
 use stisan_models::{AttentionMode, PositionMode, SasRec};
-use stisan_serve::{InferenceSession, ServeConfig};
+use stisan_obs::TraceCtx;
+use stisan_serve::{
+    EngineBackend, InferenceSession, ReplicatedEngine, ServeConfig, SharedModel, SupervisorConfig,
+};
 use stisan_tensor::Arena;
 
 fn processed() -> Processed {
@@ -116,45 +120,52 @@ fn poisoned_arena_reserve_is_bitwise_stable() {
     assert!(arena.stats().hits > 0, "arena never hit: {:?}", arena.stats());
 }
 
-/// The engine's arena mode and fresh-alloc mode return identical
-/// recommendations, and `serve_one` equals an explicit
-/// `serve_one_into` + scratch reuse loop.
+/// `serve_one` (pooled scratch) equals an explicit `serve_one_into` +
+/// caller-held scratch reuse loop.
 #[test]
-fn engine_arena_mode_matches_fresh_mode() {
+fn serve_one_matches_serve_one_into_with_reused_scratch() {
     let p = processed();
     let mut m = StiSan::new(&p, StisanConfig { train: tiny_train(), ..Default::default() });
     m.fit(&p);
 
-    let with_arena = InferenceSession::new(&m, &p, ServeConfig { arena: true, ..Default::default() });
-    let without = InferenceSession::new(&m, &p, ServeConfig { arena: false, ..Default::default() });
-
-    let mut scratch = with_arena.checkout_scratch();
+    let session = InferenceSession::new(&m, &p, ServeConfig::default());
+    let mut scratch = session.checkout_scratch();
     let mut rec = stisan_serve::Recommendation::default();
     for inst in &p.eval {
-        let a = with_arena.serve_one(inst);
-        let b = without.serve_one(inst);
-        assert_eq!(a.items, b.items, "arena flag changed recommendations");
-        assert_eq!(a.scored, b.scored);
-        with_arena.serve_one_into(inst, &mut scratch, &mut rec);
+        let a = session.serve_one(inst);
+        session.serve_one_into(inst, &mut scratch, &mut rec);
         assert_eq!(a.items, rec.items, "serve_one_into diverged from serve_one");
+        assert_eq!(a.scored, rec.scored);
     }
-    with_arena.checkin_scratch(scratch);
+    session.checkin_scratch(scratch);
 }
 
-/// Batch serving with arena scratch pooling matches the sequential loop for
-/// every worker count (scratch checkout order must not matter).
+/// A replicated batch over the trained model matches the sequential
+/// `serve_one` loop for every replica count (which replica's pooled scratch
+/// a request lands on must not matter).
 #[test]
-fn batch_with_pooled_scratch_matches_sequential() {
+fn replicated_batch_matches_sequential() {
     let p = processed();
     let mut m = StiSan::new(&p, StisanConfig { train: tiny_train(), ..Default::default() });
     m.fit(&p);
-    let s = InferenceSession::new(&m, &p, ServeConfig::default());
-    let seq: Vec<_> = p.eval.iter().map(|i| s.serve_one(i)).collect();
-    for workers in [1usize, 2, 5] {
-        let par = s.serve_batch_on(&p.eval, workers);
+    let seq: Vec<_> = {
+        let s = InferenceSession::new(&m, &p, ServeConfig::default());
+        p.eval.iter().map(|i| s.serve_one(i)).collect()
+    };
+    let shared = SharedModel::new(m, 0);
+    for replicas in [1usize, 2, 5] {
+        let eng = ReplicatedEngine::new(
+            shared.clone(),
+            &p,
+            ServeConfig::default(),
+            SupervisorConfig { replicas, ..SupervisorConfig::default() },
+        );
+        let mut traces: Vec<TraceCtx> = (0..p.eval.len() as u64).map(TraceCtx::new).collect();
+        let par = eng.serve_outcomes(&p.eval, 0, &mut traces);
         assert_eq!(par.len(), seq.len());
         for (a, b) in par.iter().zip(&seq) {
-            assert_eq!(a.items, b.items, "workers={workers}");
+            let a = a.as_ref().expect("healthy pool must answer");
+            assert_eq!(a.rec.items, b.items, "replicas={replicas}");
         }
     }
 }

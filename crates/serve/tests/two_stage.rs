@@ -157,9 +157,7 @@ impl FrozenScorer for Tableless {
 fn two_stage_cfg(quant: QuantLevel, budget: usize) -> ServeConfig {
     ServeConfig {
         top_k: 10,
-        workers: 0,
         pruning: PruningPolicy::TwoStage { budget, max_ring: 6 },
-        arena: true,
         quant,
     }
 }

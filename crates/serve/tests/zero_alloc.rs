@@ -1,5 +1,5 @@
 //! The allocation gate: a warmed-up [`InferenceSession::serve_one_into`]
-//! call in arena mode performs **zero heap allocations** (DESIGN.md §14).
+//! call performs **zero heap allocations** (DESIGN.md §14).
 //!
 //! The binary installs [`stisan_obs::alloc::CountingAlloc`] as the global
 //! allocator and measures the thread-local allocation counters around
@@ -124,57 +124,55 @@ fn measure<M: FrozenScorer + Sync>(
     (a1.allocs.saturating_sub(a0.allocs), a1.bytes.saturating_sub(a0.bytes))
 }
 
-/// The gate itself: after warm-up, arena-mode serving is allocation-free —
-/// zero allocations, zero bytes — across many requests. The same loop with
-/// the arena disabled allocates on every request, proving the counter
-/// actually bites (the gate cannot pass vacuously).
+/// The gate itself: after warm-up, serving is allocation-free — zero
+/// allocations, zero bytes — across many requests. The same requests on a
+/// cold scratch allocate, proving the counter actually bites (the gate
+/// cannot pass vacuously).
 #[test]
 fn warm_arena_serving_is_allocation_free() {
     let p = processed();
     assert!(p.eval.len() >= 2, "need several eval instances");
     let m = GateScorer::new(p.num_pois, 16, 7);
 
-    let arena_on = InferenceSession::new(&m, &p, ServeConfig::default());
-    let arena_off = InferenceSession::new(&m, &p, ServeConfig { arena: false, ..Default::default() });
+    let session = InferenceSession::new(&m, &p, ServeConfig::default());
 
-    let mut scratch = arena_on.checkout_scratch();
+    let mut scratch = session.checkout_scratch();
     let mut rec = Recommendation::default();
 
     // Warm-up: first passes size every pool (arena size classes, candidate
     // and score vectors, top-K heap, the gate's id buffer).
     for _ in 0..3 {
         for inst in &p.eval {
-            arena_on.serve_one_into(inst, &mut scratch, &mut rec);
+            session.serve_one_into(inst, &mut scratch, &mut rec);
         }
     }
     let baseline_items = rec.items.clone();
 
     stisan_obs::alloc::enable();
-    let (allocs, bytes) = measure(&arena_on, &p.eval, &mut scratch, &mut rec, 8);
+    let (allocs, bytes) = measure(&session, &p.eval, &mut scratch, &mut rec, 8);
     assert_eq!(
         (allocs, bytes),
         (0, 0),
-        "steady-state arena serving allocated: {allocs} allocations, {bytes} bytes"
+        "steady-state serving allocated: {allocs} allocations, {bytes} bytes"
     );
 
-    // Sanity: the counter sees the fresh-alloc path (arena disabled), so
-    // the zero above is a real measurement, not a dead counter.
-    let mut scratch_off = arena_off.checkout_scratch();
-    let (allocs_off, _) = measure(&arena_off, &p.eval, &mut scratch_off, &mut rec, 1);
+    // Sanity: the counter sees a cold scratch size its pools on the very
+    // same requests, so the zero above is a real measurement, not a dead
+    // counter.
+    let mut cold = stisan_serve::ServeScratch::new();
+    let (allocs_cold, _) = measure(&session, &p.eval, &mut cold, &mut rec, 1);
     assert!(
-        allocs_off > 0,
-        "fresh-alloc serving shows zero allocations — the gate is not measuring"
+        allocs_cold > 0,
+        "cold-scratch serving shows zero allocations — the gate is not measuring"
     );
 
     // And the served results did not change while we were measuring.
-    arena_on.serve_one_into(p.eval.last().expect("non-empty"), &mut scratch, &mut rec);
+    session.serve_one_into(p.eval.last().expect("non-empty"), &mut scratch, &mut rec);
     assert_eq!(rec.items, baseline_items, "steady-state results drifted");
-    arena_on.checkin_scratch(scratch);
-    arena_off.checkin_scratch(scratch_off);
+    session.checkin_scratch(scratch);
 }
 
-/// The same gate against the full STiSAN model: after warm-up, arena-mode
-/// serving — request prep (batching, positions, interval matrices, masks)
+/// The same gate against the full STiSAN model: after warm-up, serving — request prep (batching, positions, interval matrices, masks)
 /// *and* the frozen forward — performs zero heap allocations. This is the
 /// production claim for the real model, not a proxy scorer.
 #[test]

@@ -446,15 +446,10 @@ impl Array {
 /// `min(cap, tasks)`, or 1 when there are fewer than 2 tasks, where `cap` is
 /// the `STISAN_WORKERS` environment variable when set to a positive integer
 /// and `min(cores, 8)` otherwise. This is the fan-out heuristic of
-/// [`Array::bmm`], exported so other scoped-thread pools (the serving
-/// engine's request workers, the gateway's batch pool) stay consistent with
-/// it — one knob tunes them all without recompiling.
+/// [`Array::bmm`]; serving parallelism is separate (the replica count of
+/// `stisan_serve::ReplicatedEngine`).
 ///
-/// Precedence (highest first): an explicit worker count in the caller's
-/// config (`ServeConfig::workers`, `GatewayConfig::workers` — those callers
-/// bypass this function entirely), then `STISAN_WORKERS`, then the
-/// `min(cores, 8)` heuristic. Invalid or non-positive values of the variable
-/// are ignored. The variable is re-read on every call, so tests and
+/// Invalid or non-positive values of the variable are ignored. The variable is re-read on every call, so tests and
 /// long-running deployments can retune it at runtime.
 pub fn suggested_workers(tasks: usize) -> usize {
     if tasks < 2 {

@@ -11,7 +11,11 @@ use stisan::data::{
 use stisan::eval::{FrozenScorer, Recommender};
 use stisan::geo::{haversine_km, GeoPoint};
 use stisan::nn::{sinusoidal_encoding, tape_positions};
-use stisan::serve::{top_k, InferenceSession, PruningPolicy, ServeConfig};
+use stisan::obs::TraceCtx;
+use stisan::serve::{
+    top_k, EngineBackend, PruningPolicy, ReplicatedEngine, ServeConfig, SharedModel,
+    SupervisorConfig,
+};
 use stisan::tensor::{broadcast_shapes, Array};
 
 /// Reference top-K: full sort by `(score desc, index asc)`, truncated.
@@ -44,15 +48,21 @@ impl FrozenScorer for NearLast {
     }
 }
 
-/// Fraction of eval instances whose held-out target lands in the served
-/// top-20.
-fn recall_at_20(session: &InferenceSession<'_, NearLast>, data: &Processed) -> f64 {
-    let recs = session.serve_batch(&data.eval);
+/// Fraction of eval instances whose held-out target lands in the top-20
+/// the engine serves under `cfg`.
+fn recall_at_20(cfg: ServeConfig, data: &Processed) -> f64 {
+    let engine =
+        ReplicatedEngine::new(SharedModel::new(NearLast, 0), data, cfg, SupervisorConfig::default());
+    let mut traces: Vec<TraceCtx> = (0..data.eval.len() as u64).map(TraceCtx::new).collect();
+    let outs = engine.serve_outcomes(&data.eval, 0, &mut traces);
     let hits = data
         .eval
         .iter()
-        .zip(&recs)
-        .filter(|(inst, rec)| rec.items.iter().any(|&(p, _)| p == inst.target))
+        .zip(&outs)
+        .filter(|(inst, out)| {
+            let served = out.as_ref().expect("a healthy pool answers every request");
+            served.rec.items.iter().any(|&(p, _)| p == inst.target)
+        })
         .count();
     hits as f64 / data.eval.len().max(1) as f64
 }
@@ -236,22 +246,15 @@ proptest! {
         if p.eval.is_empty() {
             return Ok(()); // degenerate filter outcome; nothing to measure
         }
-        let unpruned = InferenceSession::new(
-            &NearLast,
-            &p,
-            ServeConfig { top_k: 20, ..Default::default() },
-        );
-        let pruned = InferenceSession::new(
-            &NearLast,
-            &p,
+        let r_full = recall_at_20(ServeConfig { top_k: 20, ..Default::default() }, &p);
+        let r_pruned = recall_at_20(
             ServeConfig {
                 top_k: 20,
                 pruning: PruningPolicy::Radius { km: radius_km, min_candidates: 20 },
                 ..Default::default()
             },
+            &p,
         );
-        let r_full = recall_at_20(&unpruned, &p);
-        let r_pruned = recall_at_20(&pruned, &p);
         prop_assert!(
             r_pruned >= r_full - 0.05,
             "pruning lost recall: {r_pruned} vs {r_full} (radius {radius_km} km)"

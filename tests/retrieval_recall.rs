@@ -73,9 +73,7 @@ proptest! {
 
         let cfg = |quant: QuantLevel, pruning: PruningPolicy| ServeConfig {
             top_k: TOP_K,
-            workers: 0,
             pruning,
-            arena: true,
             quant,
         };
         let two_stage = PruningPolicy::TwoStage { budget, max_ring: 6 };
