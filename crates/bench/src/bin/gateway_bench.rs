@@ -968,7 +968,7 @@ fn main() {
             .expect("write profile_scrape.json");
         let snap = stisan_obs::global().map(|ob| ob.registry.snapshot()).unwrap_or_default();
         let hist_mean = |name: &str| {
-            snap.histograms.iter().find(|h| h.name == name).map(|h| h.mean).unwrap_or(0.0)
+            snap.histograms.iter().find(|h| h.name == name).map(|h| h.mean()).unwrap_or(0.0)
         };
         let bytes_per_req = hist_mean("alloc.request_bytes");
         let allocs_per_req = hist_mean("alloc.request_allocs");

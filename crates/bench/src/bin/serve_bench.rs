@@ -246,19 +246,19 @@ fn main() {
     // Tail latency of the replicated path comes from the serve.latency_ms
     // histogram the engine records.
     let snap = stisan_obs::global().map(|o| o.registry.snapshot()).unwrap_or_default();
-    let serve_lat = snap
+    let [p50_ms, p95_ms, p99_ms] = snap
         .histograms
         .iter()
         .find(|h| h.name == "serve.latency_ms")
-        .map(|h| (h.p50, h.p95, h.p99))
-        .unwrap_or((0.0, 0.0, 0.0));
+        .map(|h| h.sketch.p50_p95_p99())
+        .unwrap_or_default();
     let serve_rps = requests.len() as f64 / serve_wall.max(1e-12);
     let engine = PathStats {
         label: "frozen + geo prune + par",
         rps: serve_rps,
-        p50_ms: serve_lat.0,
-        p95_ms: serve_lat.1,
-        p99_ms: serve_lat.2,
+        p50_ms,
+        p95_ms,
+        p99_ms,
     };
     print_path(&engine);
     let pruned_frac = 1.0 - scored as f64 / pool.max(1) as f64;
@@ -290,7 +290,7 @@ fn main() {
 
     let snap = stisan_obs::global().map(|o| o.registry.snapshot()).unwrap_or_default();
     let alloc_hist = |name: &str| {
-        snap.histograms.iter().find(|h| h.name == name).map(|h| h.mean).unwrap_or(0.0)
+        snap.histograms.iter().find(|h| h.name == name).map(|h| h.mean()).unwrap_or(0.0)
     };
     let bytes_per_req = alloc_hist("alloc.request_bytes");
     let allocs_per_req = alloc_hist("alloc.request_allocs");

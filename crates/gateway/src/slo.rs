@@ -7,7 +7,7 @@
 //! (enabled whenever [`crate::GatewayConfig::slo`] is set, which it is by
 //! default). Each tick, on the gateway's monotonic clock:
 //!
-//! 1. [`stisan_obs::Registry::windows_snapshot`] → [`TimeSeriesStore::ingest`]
+//! 1. [`stisan_obs::Registry::snapshot`] → [`TimeSeriesStore::ingest`]
 //!    (cumulative totals become per-bucket deltas);
 //! 2. [`stisan_obs::SloEngine::eval`] computes the multi-window burn rates,
 //!    runs the alert state machines, publishes `slo.*` / `alert.*` metrics,
@@ -126,7 +126,7 @@ impl SloRuntime {
     /// alert of the run.
     pub(crate) fn tick(&self, now_ms: u64, flight_dir: Option<&Path>) {
         let Some(obs) = stisan_obs::global() else { return };
-        let snap = obs.registry.windows_snapshot();
+        let snap = obs.registry.snapshot();
         let newly_firing = {
             let mut st = lock(&self.state);
             let (ts, eng) = &mut *st;

@@ -3,11 +3,11 @@
 //!
 //! The renderer emits the Prometheus text format (version 0.0.4, the
 //! subset OpenMetrics shares): counters and gauges as single samples,
-//! histograms as summaries — `quantile`-labeled samples for p50/p95/p99
-//! plus `_sum`/`_count`, with the observed maximum as a separate
-//! `<name>_max` gauge. Metric names are sanitized (`.` and `/` become
-//! `_`) since registry names use dotted paths. The document ends with
-//! `# EOF` so a truncated scrape is detectable.
+//! histograms as summaries — `quantile`-labeled sketch p50/p95/p99
+//! samples plus exact `_sum`/`_count`, with the observed maximum as a
+//! separate `<name>_max` gauge. Metric names are sanitized (`.` and `/`
+//! become `_`) since registry names use dotted paths. The document ends
+//! with `# EOF` so a truncated scrape is detectable.
 //!
 //! The parser exists so tooling (the `expo_check` bin, verify.sh, tests)
 //! can assert a scrape is well-formed without a Prometheus dependency:
@@ -63,11 +63,11 @@ pub fn render(snap: &Snapshot) -> String {
     for h in &snap.histograms {
         let n = sanitize_name(&h.name);
         let _ = writeln!(s, "# TYPE {n} summary");
-        for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
+        for (q, v) in ["0.5", "0.95", "0.99"].into_iter().zip(h.sketch.p50_p95_p99()) {
             let _ = writeln!(s, "{n}{{quantile=\"{q}\"}} {}", sample_value(v));
         }
-        let _ = writeln!(s, "{n}_sum {}", sample_value(h.mean * h.count as f64));
-        let _ = writeln!(s, "{n}_count {}", h.count);
+        let _ = writeln!(s, "{n}_sum {}", sample_value(h.sum));
+        let _ = writeln!(s, "{n}_count {}", h.count());
         let _ = writeln!(s, "# TYPE {n}_max gauge");
         let _ = writeln!(s, "{n}_max {}", sample_value(h.max));
     }
@@ -274,8 +274,10 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
     Ok(doc)
 }
 
-/// Suffixes the time-series sampler appends for windowed quantiles (see
-/// `crate::timeseries::TimeSeriesStore::publish_windowed_gauges`).
+/// Suffixes the time-series sampler appends for windowed quantiles, in
+/// `Sketch::p50_p95_p99` order (see
+/// `crate::timeseries::TimeSeriesStore::publish_windowed_gauges`, which
+/// writes them, and `TimeSeriesStore::ingest`, which skips them).
 pub const WINDOWED_QUANTILE_SUFFIXES: [&str; 3] = ["_p50_1m", "_p95_1m", "_p99_1m"];
 
 /// Renders a health document as JSON: queue depth, shed counters and
@@ -338,12 +340,14 @@ mod tests {
         assert_eq!(doc.value("gateway_requests_total"), Some(10.0));
         assert_eq!(doc.value("gateway_queue_depth"), Some(3.0));
         assert_eq!(doc.value("serve_latency_ms_count"), Some(100.0));
+        assert_eq!(doc.value("serve_latency_ms_sum"), Some(5050.0));
         assert_eq!(doc.value("serve_latency_ms_max"), Some(100.0));
         let quantiles: Vec<&Sample> =
             doc.samples.iter().filter(|s| s.name == "serve_latency_ms").collect();
         assert_eq!(quantiles.len(), 3);
         assert_eq!(quantiles[0].labels, vec![("quantile".to_string(), "0.5".to_string())]);
-        assert_eq!(quantiles[0].value, 50.0);
+        let p50 = quantiles[0].value;
+        assert!((p50 - 50.0).abs() <= 50.0 * crate::metrics::SKETCH_REL_ERR, "p50={p50}");
     }
 
     #[test]
@@ -382,11 +386,11 @@ mod tests {
         let mut ts = crate::timeseries::TimeSeriesStore::new(
             crate::timeseries::TsConfig::scaled(1_000),
         );
-        ts.ingest(&r.windows_snapshot(), 0);
+        ts.ingest(&r.snapshot(), 0);
         for v in 1..=50 {
             r.observe("serve.latency_ms", v as f64);
         }
-        ts.ingest(&r.windows_snapshot(), 1_000);
+        ts.ingest(&r.snapshot(), 1_000);
         ts.publish_windowed_gauges(&r, 1_000);
         let text = render(&r.snapshot());
         let doc = parse(&text).expect("windowed gauges must validate");

@@ -1,7 +1,8 @@
 //! # stisan-obs
 //!
 //! Std-only observability for the STiSAN reproduction: a metrics registry
-//! (counters, gauges, p50/p95/p99 histograms), RAII scoped spans with
+//! (one map of atomic cells: counters, gauges, and sketch histograms whose
+//! quantiles are within `SKETCH_REL_ERR` = ±7.5%), RAII scoped spans with
 //! hierarchical names, a leveled logging facade, an autodiff-tape profiler
 //! fed by `stisan-tensor`, request-scoped tracing with tail-sampled
 //! exemplars, a lock-free flight recorder, Prometheus text exposition,
@@ -43,7 +44,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 pub use alloc::{AllocStats, CountingAlloc};
 pub use flame::{FrameRow, FrameStats, ServeProfiler};
 pub use log::{level, parse_level, set_level, Level};
-pub use metrics::{HistogramSummary, LightSnapshot, Registry, SketchSummary, Snapshot};
+pub use metrics::{Histogram, Registry, Sketch, Snapshot};
 pub use profile::{OpKindRow, OpKindStats, TapeProfiler};
 pub use report::{EpochStats, RunReport};
 pub use ring::{DumpReason, FlightEvent, FlightRecorder, Outcome, NO_REPLICA};
@@ -51,7 +52,7 @@ pub use slo::{
     AlertPolicy, AlertState, BurnRule, EvalOutcome, HealthSignal, Objective, Sli, SloEngine,
 };
 pub use span::{span, Span};
-pub use timeseries::{LevelSpec, TimeSeriesStore, TsConfig, WindowSketch, WindowValue};
+pub use timeseries::{LevelSpec, TimeSeriesStore, TsConfig, WindowValue};
 pub use trace::{Stage, TraceCtx, TraceExemplar, TraceHub};
 
 /// Locks a mutex, shrugging off poisoning: a panic in another thread must

@@ -1,31 +1,34 @@
 //! A lightweight metrics registry: named counters, gauges and histograms
-//! with p50/p95/p99 summaries.
+//! behind one name → cell map of atomics.
 //!
 //! A [`Registry`] is a cheap `Clone` handle. [`Registry::noop`] carries no
 //! storage at all, so instrumentation through a disabled registry is a
 //! single `Option` check — this is what the global default uses until
 //! [`crate::init`] is called.
 //!
-//! The counter hot path is **striped**: increments land in one of
-//! [`STRIPES`] independently-locked maps, chosen per thread (round-robin
-//! at first use), so concurrent gateway handlers don't serialize on one
-//! mutex. [`Registry::snapshot`] merges the stripes by summing.
+//! Every metric is one cell in one map: a counter is an `AtomicU64`, a
+//! gauge the bits of an `f64`, a histogram an exact `sum` and `max` plus
+//! [`SKETCH_BUCKETS`] log-spaced bucket counts. A call on a name the
+//! registry has already seen is a read-locked lookup by `&str` followed by
+//! atomic operations — no `String`, no exclusive lock; only the first sight
+//! of a name takes the write lock and allocates. A name keeps the kind of
+//! its first call, and a later call of another kind is dropped.
+//!
+//! Histograms keep no samples. Their quantiles come from the bucket counts
+//! through [`Sketch::quantile`] — the one quantile algorithm in the
+//! workspace, shared by [`Registry::snapshot`], the windowed time-series
+//! rings and the SLO engine — so they cover every observation, within
+//! [`SKETCH_REL_ERR`] of the exact sample quantile. `count`, `sum` and
+//! `max` are exact.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use crate::plock;
-
-/// Cap on retained histogram samples per metric; counts keep accumulating
-/// past this, quantiles are computed over the first `SAMPLE_CAP` values.
-const SAMPLE_CAP: usize = 262_144;
-
-/// Buckets in the fixed log-spaced histogram sketch kept alongside the raw
-/// samples. 160 buckets at [`SKETCH_GAMMA`] starting at [`SKETCH_MIN`]
-/// cover `0.01 ..= ~4e7` — microsecond latencies up to ~40 s and
-/// millisecond latencies up to ~11 h in one geometry.
+/// Buckets in the fixed log-spaced histogram sketch. 160 buckets at
+/// [`SKETCH_GAMMA`] starting at [`SKETCH_MIN`] cover `0.01 ..= ~4e7` —
+/// microsecond latencies up to ~40 s and millisecond latencies up to ~11 h
+/// in one geometry.
 pub const SKETCH_BUCKETS: usize = 160;
 
 /// Ratio between consecutive sketch bucket bounds.
@@ -64,232 +67,274 @@ pub fn sketch_value(bucket: usize) -> f64 {
     SKETCH_MIN * SKETCH_GAMMA.powf(bucket as f64 - 0.5)
 }
 
-/// Number of counter stripes. Power of two, comfortably above the
-/// gateway's worker/handler thread counts.
-pub const STRIPES: usize = 16;
-
-/// The stripe this thread increments into. Assigned round-robin on first
-/// use so any burst of threads spreads across all stripes.
-fn stripe_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    STRIPE.with(|s| {
-        let mut idx = s.get();
-        if idx == usize::MAX {
-            idx = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
-            s.set(idx);
-        }
-        idx
-    })
+/// Observation counts per [`sketch_bucket`]: what a histogram is, once the
+/// samples are gone. Sketches of the same histogram add ([`Sketch::merge`])
+/// and subtract ([`Sketch::delta_since`]) exactly, which is how cumulative
+/// registry state becomes per-window state in [`crate::timeseries`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Sketch {
+    /// Boxed so that values holding a sketch (unwritten ring slots, the
+    /// non-histogram variants of `WindowValue`) stay a few words wide.
+    counts: Box<[u64; SKETCH_BUCKETS]>,
 }
 
-struct Hist {
-    count: u64,
-    sum: f64,
-    max: f64,
-    samples: Vec<f64>,
-    /// Cumulative per-bucket observation counts (log-spaced, see
-    /// [`sketch_bucket`]). Unlike `samples` this never saturates and is
-    /// mergeable, which is what the windowed time-series layer diffs.
-    sketch: Vec<u32>,
-}
-
-impl Default for Hist {
+impl Default for Sketch {
+    /// An empty sketch.
     fn default() -> Self {
-        Hist {
-            count: 0,
-            sum: 0.0,
-            max: 0.0,
-            samples: Vec::new(),
-            sketch: vec![0; SKETCH_BUCKETS],
+        Sketch { counts: Box::new([0; SKETCH_BUCKETS]) }
+    }
+}
+
+impl Sketch {
+    /// Total observations.
+    pub fn count(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Adds another sketch's observations (vector addition — exact).
+    pub fn merge(&mut self, other: &Sketch) {
+        for (a, &b) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *a += b;
+        }
+    }
+
+    /// The observations made after `earlier`, an older cumulative sketch of
+    /// the same histogram (element-wise difference). `None` if any bucket
+    /// shrank: the histogram restarted, and `self` is all there is.
+    pub fn delta_since(&self, earlier: &Sketch) -> Option<Sketch> {
+        let mut delta = Sketch::default();
+        for (d, (&now, &was)) in
+            delta.counts.iter_mut().zip(self.counts.iter().zip(earlier.counts.iter()))
+        {
+            *d = now.checked_sub(was)?;
+        }
+        Some(delta)
+    }
+
+    /// Nearest-rank quantile over the bucketed counts, reported as the
+    /// bucket's representative value (0 for an empty sketch). Within
+    /// [`SKETCH_REL_ERR`] of the exact sample quantile, plus an absolute
+    /// [`SKETCH_MIN`] floor for tiny values.
+    pub fn quantile(&self, q: f64) -> f64 {
+        let total = self.count();
+        if total == 0 {
+            return 0.0;
+        }
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+        let mut cum = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            cum += c;
+            if cum >= rank {
+                return sketch_value(i);
+            }
+        }
+        sketch_value(SKETCH_BUCKETS - 1)
+    }
+
+    /// [`Sketch::quantile`] at 0.50, 0.95 and 0.99, the three every report
+    /// and exposition prints.
+    pub fn p50_p95_p99(&self) -> [f64; 3] {
+        [0.50, 0.95, 0.99].map(|q| self.quantile(q))
+    }
+
+    /// Fraction of observations at or under `threshold`, judged by each
+    /// bucket's representative value (1.0 for an empty sketch — no data is
+    /// treated as meeting a latency objective, not violating it).
+    pub fn fraction_le(&self, threshold: f64) -> f64 {
+        let total = self.count();
+        if total == 0 {
+            return 1.0;
+        }
+        let le: u64 = self
+            .counts
+            .iter()
+            .enumerate()
+            .filter(|&(i, &c)| c > 0 && sketch_value(i) <= threshold)
+            .map(|(_, &c)| c)
+            .sum();
+        le as f64 / total as f64
+    }
+}
+
+/// A histogram's live state. `count` is not stored: it is the sum of the
+/// buckets.
+struct HistCell {
+    /// `f64` bits.
+    sum: AtomicU64,
+    /// `f64` bits; `-inf` until the first observation.
+    max: AtomicU64,
+    buckets: [AtomicU64; SKETCH_BUCKETS],
+}
+
+impl HistCell {
+    fn new() -> Self {
+        HistCell {
+            sum: AtomicU64::new(0f64.to_bits()),
+            max: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    fn observe(&self, value: f64) {
+        let _ = self.max.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |m| {
+            (value > f64::from_bits(m)).then_some(value.to_bits())
+        });
+        let _ = self.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+            Some((f64::from_bits(s) + value).to_bits())
+        });
+        // Release, paired with the Acquire loads in `snapshot`: a snapshot
+        // that counts this observation also sees its `sum` and `max`.
+        self.buckets[sketch_bucket(value)].fetch_add(1, Ordering::Release);
+    }
+
+    fn snapshot(&self, name: &str) -> Histogram {
+        let mut sketch = Sketch::default();
+        for (c, b) in sketch.counts.iter_mut().zip(&self.buckets) {
+            *c = b.load(Ordering::Acquire);
+        }
+        let max = f64::from_bits(self.max.load(Ordering::Relaxed));
+        Histogram {
+            name: name.to_string(),
+            sum: f64::from_bits(self.sum.load(Ordering::Relaxed)),
+            max: if sketch.count() == 0 { 0.0 } else { max },
+            sketch,
         }
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    counters: [Mutex<BTreeMap<String, u64>>; STRIPES],
-    gauges: Mutex<BTreeMap<String, f64>>,
-    hists: Mutex<BTreeMap<String, Hist>>,
+enum Cell {
+    Counter(AtomicU64),
+    /// `f64` bits.
+    Gauge(AtomicU64),
+    Hist(Box<HistCell>),
 }
 
 /// Shareable handle to a metrics store (or to nothing, when disabled).
 #[derive(Clone, Default)]
 pub struct Registry {
-    inner: Option<Arc<Inner>>,
+    cells: Option<Arc<RwLock<BTreeMap<String, Cell>>>>,
 }
 
 impl Registry {
     /// A registry that records.
     pub fn new() -> Self {
-        Registry { inner: Some(Arc::new(Inner::default())) }
+        Registry { cells: Some(Arc::default()) }
     }
 
     /// A registry that drops everything (the zero-cost default).
     pub fn noop() -> Self {
-        Registry { inner: None }
+        Registry { cells: None }
     }
 
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.cells.is_some()
     }
 
-    /// Adds `by` to the named counter. Lands in this thread's stripe, so
-    /// threads on different stripes never contend.
-    pub fn inc(&self, name: &str, by: u64) {
-        if let Some(inner) = &self.inner {
-            let mut c = plock(&inner.counters[stripe_index()]);
-            *c.entry(name.to_string()).or_insert(0) += by;
+    /// Runs `update` on the cell called `name`, creating it with `new` on
+    /// first sight. A panic cannot leave the map half-updated (cells are
+    /// only ever inserted), so a poisoned lock is used as it stands.
+    fn with_cell(&self, name: &str, new: fn() -> Cell, update: impl FnOnce(&Cell)) {
+        let Some(cells) = &self.cells else { return };
+        if let Some(cell) = cells.read().unwrap_or_else(PoisonError::into_inner).get(name) {
+            return update(cell);
         }
+        let mut cells = cells.write().unwrap_or_else(PoisonError::into_inner);
+        update(cells.entry(name.to_string()).or_insert_with(new));
+    }
+
+    /// Adds `by` to the named counter.
+    pub fn inc(&self, name: &str, by: u64) {
+        self.with_cell(name, || Cell::Counter(AtomicU64::new(0)), |cell| {
+            if let Cell::Counter(n) = cell {
+                n.fetch_add(by, Ordering::Relaxed);
+            }
+        });
     }
 
     /// Sets the named gauge to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            plock(&inner.gauges).insert(name.to_string(), value);
-        }
+        self.with_cell(name, || Cell::Gauge(AtomicU64::new(0)), |cell| {
+            if let Cell::Gauge(bits) = cell {
+                bits.store(value.to_bits(), Ordering::Relaxed);
+            }
+        });
     }
 
     /// Records one observation into the named histogram.
     pub fn observe(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            let mut hs = plock(&inner.hists);
-            let h = hs.entry(name.to_string()).or_default();
-            h.count += 1;
-            h.sum += value;
-            if h.count == 1 || value > h.max {
-                h.max = value;
+        self.with_cell(name, || Cell::Hist(Box::new(HistCell::new())), |cell| {
+            if let Cell::Hist(h) = cell {
+                h.observe(value);
             }
-            if h.samples.len() < SAMPLE_CAP {
-                h.samples.push(value);
-            }
-            let b = sketch_bucket(value);
-            h.sketch[b] = h.sketch[b].saturating_add(1);
-        }
+        });
     }
 
-    /// A point-in-time copy of every metric, with histogram quantiles.
-    /// Counter stripes are merged by summing.
+    /// A point-in-time copy of every metric, names ascending. Copies
+    /// atomics under the shared lock, so it never blocks a concurrent
+    /// `inc` / `set_gauge` / `observe` on a seen name; values written while
+    /// it runs may or may not be included.
     pub fn snapshot(&self) -> Snapshot {
-        let Some(inner) = &self.inner else { return Snapshot::default() };
-        let mut merged: BTreeMap<String, u64> = BTreeMap::new();
-        for stripe in &inner.counters {
-            for (k, &v) in plock(stripe).iter() {
-                *merged.entry(k.clone()).or_insert(0) += v;
-            }
-        }
-        let counters = merged.into_iter().collect();
-        let gauges = plock(&inner.gauges).iter().map(|(k, &v)| (k.clone(), v)).collect();
-        let histograms = plock(&inner.hists)
-            .iter()
-            .map(|(k, h)| {
-                let mut sorted = h.samples.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                HistogramSummary {
-                    name: k.clone(),
-                    count: h.count,
-                    mean: if h.count == 0 { 0.0 } else { h.sum / h.count as f64 },
-                    p50: quantile(&sorted, 0.50),
-                    p95: quantile(&sorted, 0.95),
-                    p99: quantile(&sorted, 0.99),
-                    max: h.max,
+        let mut snap = Snapshot::default();
+        let Some(cells) = &self.cells else { return snap };
+        for (name, cell) in cells.read().unwrap_or_else(PoisonError::into_inner).iter() {
+            match cell {
+                Cell::Counter(n) => snap.counters.push((name.clone(), n.load(Ordering::Relaxed))),
+                Cell::Gauge(bits) => {
+                    snap.gauges.push((name.clone(), f64::from_bits(bits.load(Ordering::Relaxed))))
                 }
-            })
-            .collect();
-        Snapshot { counters, gauges, histograms }
-    }
-
-    /// A cheap snapshot for the time-series sampler: counters, gauges and
-    /// cumulative histogram sketches, but **no** sample cloning or sorting
-    /// — cost is independent of how many raw samples the histograms hold,
-    /// so a 1 s sampler stays off the serving path's critical sections.
-    pub fn windows_snapshot(&self) -> LightSnapshot {
-        let Some(inner) = &self.inner else { return LightSnapshot::default() };
-        let mut merged: BTreeMap<String, u64> = BTreeMap::new();
-        for stripe in &inner.counters {
-            for (k, &v) in plock(stripe).iter() {
-                *merged.entry(k.clone()).or_insert(0) += v;
+                Cell::Hist(h) => snap.histograms.push(h.snapshot(name)),
             }
         }
-        let counters = merged.into_iter().collect();
-        let gauges = plock(&inner.gauges).iter().map(|(k, &v)| (k.clone(), v)).collect();
-        let histograms = plock(&inner.hists)
-            .iter()
-            .map(|(k, h)| SketchSummary {
-                name: k.clone(),
-                count: h.count,
-                sum: h.sum,
-                sketch: h.sketch.clone(),
-            })
-            .collect();
-        LightSnapshot { counters, gauges, histograms }
-    }
-
-    /// How many counter stripes hold at least one entry (test/diagnostic
-    /// hook for the striping itself).
-    pub fn nonempty_counter_stripes(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.counters.iter().filter(|s| !plock(s).is_empty()).count())
-            .unwrap_or(0)
+        snap
     }
 }
 
-/// Summary of one histogram at snapshot time.
+/// One histogram at snapshot time: exact `sum` and `max`, and the bucket
+/// counts its quantiles are read from.
 #[derive(Clone, Debug)]
-pub struct HistogramSummary {
+pub struct Histogram {
     pub name: String,
-    pub count: u64,
-    pub mean: f64,
-    pub p50: f64,
-    pub p95: f64,
-    pub p99: f64,
+    pub sum: f64,
+    /// Largest observation (0 while empty).
     pub max: f64,
+    pub sketch: Sketch,
 }
 
-/// Point-in-time copy of a [`Registry`].
+impl Histogram {
+    /// Observations recorded (exact).
+    pub fn count(&self) -> u64 {
+        self.sketch.count()
+    }
+
+    /// `sum / count` (0 while empty).
+    pub fn mean(&self) -> f64 {
+        match self.count() {
+            0 => 0.0,
+            n => self.sum / n as f64,
+        }
+    }
+}
+
+/// Point-in-time copy of a [`Registry`]. Counter and histogram state is
+/// cumulative since the registry was created.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,
-    pub histograms: Vec<HistogramSummary>,
-}
-
-/// Cumulative sketch of one histogram at [`Registry::windows_snapshot`]
-/// time — mergeable and diffable, unlike [`HistogramSummary`].
-#[derive(Clone, Debug)]
-pub struct SketchSummary {
-    pub name: String,
-    pub count: u64,
-    pub sum: f64,
-    /// `SKETCH_BUCKETS` cumulative per-bucket counts.
-    pub sketch: Vec<u32>,
-}
-
-/// The sampler-facing snapshot: like [`Snapshot`] but with cumulative
-/// sketches instead of computed quantiles.
-#[derive(Clone, Debug, Default)]
-pub struct LightSnapshot {
-    pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, f64)>,
-    pub histograms: Vec<SketchSummary>,
-}
-
-/// Nearest-rank quantile of an ascending-sorted slice (0 for empty input).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    pub histograms: Vec<Histogram>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+
+    /// `got` is within the documented sketch bound of `want`.
+    fn within_bound(got: f64, want: f64) -> bool {
+        (got - want).abs() <= want * SKETCH_REL_ERR + SKETCH_MIN
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -310,19 +355,31 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_nearest_rank() {
+    fn a_name_keeps_the_kind_of_its_first_call() {
+        let r = Registry::new();
+        r.inc("x", 2);
+        r.set_gauge("x", 9.0);
+        r.observe("x", 9.0);
+        let s = r.snapshot();
+        assert_eq!(s.counters, vec![("x".to_string(), 2)]);
+        assert!(s.gauges.is_empty() && s.histograms.is_empty());
+    }
+
+    #[test]
+    fn histogram_quantiles_within_sketch_bound() {
         let r = Registry::new();
         for v in 1..=100 {
             r.observe("h", v as f64);
         }
         let s = r.snapshot();
         let h = &s.histograms[0];
-        assert_eq!(h.count, 100);
-        assert_eq!(h.p50, 50.0);
-        assert_eq!(h.p95, 95.0);
-        assert_eq!(h.p99, 99.0);
+        assert_eq!(h.count(), 100);
+        for (got, want) in h.sketch.p50_p95_p99().into_iter().zip([50.0, 95.0, 99.0]) {
+            assert!(within_bound(got, want), "got {got}, want {want}");
+        }
         assert_eq!(h.max, 100.0);
-        assert!((h.mean - 50.5).abs() < 1e-12);
+        assert_eq!(h.sum, 5050.0);
+        assert!((h.mean() - 50.5).abs() < 1e-12);
     }
 
     #[test]
@@ -330,7 +387,8 @@ mod tests {
         let r = Registry::new();
         r.observe("h", 7.0);
         let h = &r.snapshot().histograms[0];
-        assert_eq!((h.p50, h.p95, h.p99), (7.0, 7.0, 7.0));
+        assert!(h.sketch.p50_p95_p99().into_iter().all(|got| within_bound(got, 7.0)));
+        assert_eq!((h.sum, h.max), (7.0, 7.0));
     }
 
     #[test]
@@ -349,14 +407,14 @@ mod tests {
         });
         let snap = r.snapshot();
         assert_eq!(snap.counters, vec![("shared".to_string(), 8000)]);
-        assert_eq!(snap.histograms[0].count, 8000);
+        assert_eq!(snap.histograms[0].count(), 8000);
+        assert_eq!(snap.histograms[0].sum, 8000.0);
     }
 
     #[test]
-    fn striped_counters_spread_and_merge_exactly() {
-        // The contention micro-test: a burst of threads hammering the same
-        // counter must (a) lose nothing and (b) actually spread over more
-        // than one stripe — otherwise the striping is decorative.
+    fn hot_counter_and_first_sight_markers_merge_exactly() {
+        // A burst of threads hammering one counter loses nothing, and names
+        // first seen mid-burst (the write-lock path) each land exactly once.
         let r = Registry::new();
         const THREADS: usize = 16;
         const PER_THREAD: u64 = 50_000;
@@ -376,16 +434,53 @@ mod tests {
         let snap = r.snapshot();
         let hot = snap.counters.iter().find(|(k, _)| k == "hot").map(|&(_, v)| v);
         assert_eq!(hot, Some(THREADS as u64 * PER_THREAD));
-        assert!(
-            r.nonempty_counter_stripes() >= 2,
-            "16 threads landed on {} stripe(s); striping is not spreading",
-            r.nonempty_counter_stripes()
-        );
-        // Per-thread markers each merged in exactly once.
         for t in 0..THREADS {
             let name = format!("thread.{t}");
             let v = snap.counters.iter().find(|(k, _)| *k == name).map(|&(_, v)| v);
             assert_eq!(v, Some(1), "marker {name}");
+        }
+    }
+
+    #[test]
+    fn snapshots_under_concurrent_writers_are_monotone_then_exact() {
+        const WRITERS: usize = 8;
+        const PER_WRITER: u64 = 20_000;
+        let r = Registry::new();
+        // Everyone starts together, so snapshots run while writers write.
+        let start = Barrier::new(WRITERS + 1);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (r, start, done) = (r.clone(), &start, &done);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_WRITER {
+                        r.observe(if w % 2 == 0 { "even" } else { "odd" }, (i % 500) as f64);
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                let mut last: BTreeMap<String, (u64, f64)> = BTreeMap::new();
+                while done.load(Ordering::Acquire) < WRITERS {
+                    for h in r.snapshot().histograms {
+                        let (count, sum) = (h.count(), h.sum);
+                        let (c0, s0) = last.insert(h.name.clone(), (count, sum)).unwrap_or_default();
+                        assert!(count >= c0, "{}: count went {c0} -> {count}", h.name);
+                        assert!(sum >= s0, "{}: sum went {s0} -> {sum}", h.name);
+                        assert!(h.max <= 499.0);
+                    }
+                }
+            });
+        });
+        let snap = r.snapshot();
+        assert_eq!(snap.histograms.len(), 2);
+        let per_writer_sum: f64 = (0..PER_WRITER).map(|i| (i % 500) as f64).sum();
+        for h in &snap.histograms {
+            assert_eq!(h.count(), (WRITERS as u64 / 2) * PER_WRITER, "{}", h.name);
+            assert_eq!(h.sum, (WRITERS / 2) as f64 * per_writer_sum, "{}", h.name);
+            assert_eq!(h.max, 499.0);
         }
     }
 
@@ -415,22 +510,43 @@ mod tests {
     }
 
     #[test]
-    fn windows_snapshot_carries_cumulative_sketch() {
+    fn snapshot_carries_every_kind_and_the_cumulative_sketch() {
         let r = Registry::new();
         r.inc("c", 7);
         r.set_gauge("g", 2.5);
         for v in [1.0, 10.0, 10.0, 100.0] {
             r.observe("h", v);
         }
-        let s = r.windows_snapshot();
+        let s = r.snapshot();
         assert_eq!(s.counters, vec![("c".to_string(), 7)]);
         assert_eq!(s.gauges, vec![("g".to_string(), 2.5)]);
         let h = &s.histograms[0];
-        assert_eq!(h.count, 4);
-        assert!((h.sum - 121.0).abs() < 1e-9);
-        assert_eq!(h.sketch.len(), SKETCH_BUCKETS);
-        assert_eq!(h.sketch.iter().map(|&c| c as u64).sum::<u64>(), 4);
-        assert_eq!(h.sketch[sketch_bucket(10.0)], 2);
+        assert_eq!(h.count(), 4);
+        assert_eq!((h.sum, h.max), (121.0, 100.0));
+        assert_eq!(h.sketch.counts[sketch_bucket(10.0)], 2);
+    }
+
+    #[test]
+    fn sketches_merge_and_diff_exactly() {
+        let r = Registry::new();
+        for v in [1.0, 10.0] {
+            r.observe("h", v);
+        }
+        let early = r.snapshot().histograms[0].sketch.clone();
+        for v in [10.0, 100.0, 100.0] {
+            r.observe("h", v);
+        }
+        let late = r.snapshot().histograms[0].sketch.clone();
+        let delta = late.delta_since(&early).expect("cumulative sketches only grow");
+        assert_eq!(delta.count(), 3);
+        assert_eq!(delta.counts[sketch_bucket(100.0)], 2);
+        assert!((delta.fraction_le(50.0) - 1.0 / 3.0).abs() < 1e-12);
+        let mut rebuilt = early.clone();
+        rebuilt.merge(&delta);
+        assert_eq!(rebuilt, late);
+        // A shrinking bucket is a restart, not a negative delta.
+        assert_eq!(early.delta_since(&late), None);
+        assert_eq!((Sketch::default().quantile(0.5), Sketch::default().fraction_le(1.0)), (0.0, 1.0));
     }
 
     #[test]
@@ -442,6 +558,5 @@ mod tests {
         let s = r.snapshot();
         assert!(s.counters.is_empty() && s.gauges.is_empty() && s.histograms.is_empty());
         assert!(!r.is_enabled());
-        assert_eq!(r.nonempty_counter_stripes(), 0);
     }
 }

@@ -85,10 +85,11 @@ impl RunReport {
             }
         }
         for h in &self.metrics.histograms {
+            let [p50, p95, p99] = h.sketch.p50_p95_p99();
             let _ = writeln!(
                 s,
-                "{}: n={} mean={:.3} p50={:.3} p95={:.3} p99={:.3} max={:.3}",
-                h.name, h.count, h.mean, h.p50, h.p95, h.p99, h.max
+                "{}: n={} mean={:.3} p50={p50:.3} p95={p95:.3} p99={p99:.3} max={:.3}",
+                h.name, h.count(), h.mean(), h.max
             );
         }
         s
@@ -157,15 +158,13 @@ impl RunReport {
             if i > 0 {
                 s.push(',');
             }
+            let [p50, p95, p99] = h.sketch.p50_p95_p99().map(json_num);
             let _ = write!(
                 s,
-                "{{\"name\":{},\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
+                "{{\"name\":{},\"count\":{},\"mean\":{},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99},\"max\":{}}}",
                 json_str(&h.name),
-                h.count,
-                json_num(h.mean),
-                json_num(h.p50),
-                json_num(h.p95),
-                json_num(h.p99),
+                h.count(),
+                json_num(h.mean()),
                 json_num(h.max)
             );
         }

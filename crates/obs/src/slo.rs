@@ -595,7 +595,7 @@ mod tests {
         let mut now = 0u64;
         for _ in 0..20 {
             reg.inc("good", 50);
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             let o = eng.eval(&ts, &reg, now);
             assert!(!o.any_firing, "clean traffic must not alert");
             now += 5;
@@ -606,7 +606,7 @@ mod tests {
         let mut fired_at = None;
         for _ in 0..40 {
             reg.inc("bad", 50);
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             let o = eng.eval(&ts, &reg, now);
             if !o.newly_firing.is_empty() {
                 fired_at = Some(now);
@@ -621,7 +621,7 @@ mod tests {
         // and the resolve hysteresis.
         for _ in 0..200 {
             reg.inc("good", 50);
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             eng.eval(&ts, &reg, now);
             now += 5;
         }
@@ -656,7 +656,7 @@ mod tests {
             for _ in 0..20 {
                 reg.observe("lat", 1.0);
             }
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             eng.eval(&ts, &reg, now);
             now += 5;
         }
@@ -665,7 +665,7 @@ mod tests {
             for _ in 0..20 {
                 reg.observe("lat", 500.0);
             }
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             eng.eval(&ts, &reg, now);
             now += 5;
         }
@@ -691,14 +691,14 @@ mod tests {
         reg.set_gauge("reload.epoch", 1.0);
         let mut now = 0u64;
         for _ in 0..8 {
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             eng.eval(&ts, &reg, now);
             now += 5;
         }
         assert_eq!(eng.state_of("reload_freshness"), Some(AlertState::Inactive));
         // The gauge stops moving for far longer than max_age.
         for _ in 0..60 {
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             eng.eval(&ts, &reg, now);
             now += 5;
         }
@@ -707,7 +707,7 @@ mod tests {
         // and the alert resolves.
         for e in 2..62 {
             reg.set_gauge("reload.epoch", e as f64);
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             eng.eval(&ts, &reg, now);
             now += 5;
         }
@@ -728,7 +728,7 @@ mod tests {
         );
         let mut now = 0u64;
         for _ in 0..100 {
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             let o = eng.eval(&ts, &reg, now);
             assert!(!o.any_firing);
             now += 5;
@@ -746,9 +746,9 @@ mod tests {
             HealthSignal::default(),
         );
         reg.inc("bad", 100);
-        ts.ingest(&reg.windows_snapshot(), 0);
+        ts.ingest(&reg.snapshot(), 0);
         reg.inc("bad", 100);
-        ts.ingest(&reg.windows_snapshot(), 5);
+        ts.ingest(&reg.snapshot(), 5);
         eng.eval(&ts, &reg, 5);
         let slo = eng.render_slo_json(5);
         assert!(slo.contains("\"name\":\"availability\""), "{slo}");
@@ -774,7 +774,7 @@ mod tests {
         for round in 0..400 {
             let name = if round % 2 == 0 { "bad" } else { "good" };
             reg.inc(name, 1_000);
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
             eng.eval(&ts, &reg, now);
             now += 60; // hop whole fast windows so each round flips cond
         }

@@ -2,10 +2,9 @@
 //!
 //! The registry answers "what has happened since the process started";
 //! this module answers "what happened in the last minute". A sampler
-//! thread calls [`Registry::windows_snapshot`] on a fixed cadence and
-//! feeds the result to [`TimeSeriesStore::ingest`], which turns cumulative
-//! values into **per-bucket deltas** held in rings of time-aligned
-//! buckets:
+//! thread calls [`Registry::snapshot`] on a fixed cadence and feeds the
+//! result to [`TimeSeriesStore::ingest`], which turns cumulative values
+//! into **per-bucket deltas** held in rings of time-aligned buckets:
 //!
 //! * **Counters** — the delta since the previous sample lands in the
 //!   bucket containing `now`. A cumulative value that *decreases* is read
@@ -13,29 +12,35 @@
 //!   windowed sums never go negative (see the wraparound property test).
 //! * **Gauges** — last write wins per bucket; the store also tracks when
 //!   the value last *changed*, which is what the staleness SLO reads.
-//! * **Histograms** — the registry keeps a cumulative log-bucketed sketch
-//!   per histogram ([`crate::metrics::sketch_bucket`]); the store diffs
-//!   successive sketches element-wise into per-bucket delta sketches.
-//!   Delta sketches merge exactly (vector addition), so a windowed
-//!   p50/p95/p99 over any span equals the sketch quantile of the whole
-//!   window — exact up to the documented [`SKETCH_REL_ERR`] bucket bound.
+//! * **Histograms** — the registry keeps a cumulative [`Sketch`] per
+//!   histogram; the store diffs successive sketches element-wise
+//!   ([`Sketch::delta_since`]) into per-bucket delta sketches. Delta
+//!   sketches merge exactly (vector addition), so a windowed p50/p95/p99
+//!   over any span equals the sketch quantile of the whole window — exact
+//!   up to the documented [`SKETCH_REL_ERR`] bucket bound.
+//! * **Windowed-quantile gauges** (`<hist>_p99_1m` etc.) are this store's
+//!   own output, published back into the registry for `/metrics`; `ingest`
+//!   skips them rather than keep a window of a window.
 //!
 //! Buckets are **aligned**: bucket epoch = `now_ms / bucket_ms`, so a
 //! jittery sampler still lands samples in the right bucket (alignment
-//! property test). Each ring slot is tagged with its absolute epoch and
-//! lazily reset on reuse, so an idle series costs nothing per tick.
+//! property test). Each ring slot is tagged with its absolute epoch, filled
+//! on its first write and reset on reuse, so an idle series costs nothing
+//! per tick and an unwritten bucket costs no sketch.
 //!
 //! The default layout is three levels — 120×1 s, 90×10 s, 60×60 s — giving
-//! two minutes of fine-grained history and an hour of coarse history in a
-//! fixed ~200 KB per histogram series. A hard [`TsConfig::max_series`]
-//! budget bounds total memory: new series beyond the budget are refused
-//! and counted, never silently absorbed (`scripts/cardinality_audit.sh`
-//! gates the registry side of the same risk).
+//! two minutes of fine-grained history and an hour of coarse history in at
+//! most ~350 KB per histogram series (1.3 KB per written bucket). A hard
+//! [`TsConfig::max_series`] budget bounds total memory: new series beyond
+//! the budget are refused and counted, never silently absorbed
+//! (`scripts/cardinality_audit.sh` gates the registry side of the same
+//! risk).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::metrics::{sketch_value, LightSnapshot, Registry, SKETCH_BUCKETS, SKETCH_REL_ERR};
+use crate::expo::WINDOWED_QUANTILE_SUFFIXES;
+use crate::metrics::{Registry, Sketch, Snapshot, SKETCH_REL_ERR};
 use crate::report::{json_num, json_str};
 
 /// One resolution level: `len` aligned buckets of `bucket_ms` each.
@@ -90,23 +95,19 @@ impl TsConfig {
     }
 }
 
-/// Slot tag meaning "never written".
-const EMPTY: u64 = u64::MAX;
-
-/// A ring of tagged buckets holding `T` per slot. `tags[i]` is the
-/// absolute bucket epoch the slot currently represents.
+/// A ring of aligned buckets. A written slot holds the absolute bucket
+/// epoch it stands for and that bucket's `T`; a slot is filled on its first
+/// write, so a series pays only for buckets it has data in.
 struct Ring<T> {
     bucket_ms: u64,
-    tags: Vec<u64>,
-    slots: Vec<T>,
+    slots: Vec<Option<(u64, T)>>,
 }
 
-impl<T: Clone> Ring<T> {
-    fn new(spec: LevelSpec, zero: T) -> Self {
+impl<T: Default> Ring<T> {
+    fn new(spec: LevelSpec) -> Self {
         Ring {
             bucket_ms: spec.bucket_ms.max(1),
-            tags: vec![EMPTY; spec.len.max(1)],
-            slots: vec![zero; spec.len.max(1)],
+            slots: (0..spec.len.max(1)).map(|_| None).collect(),
         }
     }
 
@@ -114,16 +115,25 @@ impl<T: Clone> Ring<T> {
         now_ms / self.bucket_ms
     }
 
-    /// The slot for `now_ms`, reset to `zero` if it still holds an older
-    /// epoch.
-    fn touch(&mut self, now_ms: u64, zero: &T) -> &mut T {
+    /// The slot for `now_ms`, reset to `T::default()` if it still holds an
+    /// older epoch.
+    fn touch(&mut self, now_ms: u64) -> &mut T {
         let e = self.epoch(now_ms);
-        let i = (e % self.tags.len() as u64) as usize;
-        if self.tags[i] != e {
-            self.tags[i] = e;
-            self.slots[i] = zero.clone();
+        let i = (e % self.slots.len() as u64) as usize;
+        let slot = &mut self.slots[i];
+        if slot.as_ref().is_some_and(|&(tag, _)| tag != e) {
+            *slot = None;
         }
-        &mut self.slots[i]
+        &mut slot.get_or_insert_with(|| (e, T::default())).1
+    }
+
+    /// Every written slot whose epoch is in `e_lo ..= e_now`, with its epoch.
+    fn live(&self, e_lo: u64, e_now: u64) -> impl Iterator<Item = (u64, &T)> {
+        self.slots
+            .iter()
+            .flatten()
+            .filter(move |(tag, _)| (e_lo..=e_now).contains(tag))
+            .map(|(tag, v)| (*tag, v))
     }
 
     /// Visits every live slot whose epoch falls in the last
@@ -131,95 +141,25 @@ impl<T: Clone> Ring<T> {
     /// partial bucket included), passing the slot's absolute epoch.
     fn scan(&self, span_ms: u64, now_ms: u64, mut f: impl FnMut(u64, &T)) {
         let e_now = self.epoch(now_ms);
-        let n = (span_ms.div_ceil(self.bucket_ms)).max(1).min(self.tags.len() as u64);
-        let e_lo = e_now.saturating_sub(n - 1);
-        for (i, &tag) in self.tags.iter().enumerate() {
-            if tag != EMPTY && tag >= e_lo && tag <= e_now {
-                f(tag, &self.slots[i]);
-            }
+        let n = (span_ms.div_ceil(self.bucket_ms)).max(1).min(self.slots.len() as u64);
+        for (tag, v) in self.live(e_now.saturating_sub(n - 1), e_now) {
+            f(tag, v);
         }
     }
 }
 
-/// One histogram bucket's worth of deltas.
+/// A histogram's `sum` and bucket counts: one ring bucket's worth of
+/// deltas, or (as `Series::Hist::last`) the cumulative state last ingested.
 #[derive(Clone, Default)]
 struct HistSlot {
-    count: u64,
     sum: f64,
-    sketch: Vec<u32>,
+    sketch: Sketch,
 }
 
 enum Series {
     Counter { last: u64, rings: Vec<Ring<u64>> },
     Gauge { last: f64, last_change_ms: u64, rings: Vec<Ring<f64>> },
-    Hist { last_count: u64, last_sum: f64, last_sketch: Vec<u32>, rings: Vec<Ring<HistSlot>> },
-}
-
-/// A merged delta sketch over a window; quantiles are exact to the
-/// [`SKETCH_REL_ERR`] bucket bound.
-#[derive(Clone, Debug, Default)]
-pub struct WindowSketch {
-    counts: Vec<u32>,
-}
-
-impl WindowSketch {
-    /// An empty sketch.
-    pub fn new() -> Self {
-        WindowSketch { counts: vec![0; SKETCH_BUCKETS] }
-    }
-
-    /// Adds another delta sketch (vector addition — the merge is exact).
-    pub fn merge(&mut self, delta: &[u32]) {
-        if self.counts.is_empty() {
-            self.counts = vec![0; SKETCH_BUCKETS];
-        }
-        for (a, &b) in self.counts.iter_mut().zip(delta) {
-            *a = a.saturating_add(b);
-        }
-    }
-
-    /// Total observations in the window.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|&c| c as u64).sum()
-    }
-
-    /// Nearest-rank quantile over the bucketed counts, reported as the
-    /// bucket's representative value (0 for an empty window). Within
-    /// [`SKETCH_REL_ERR`] of the exact sample quantile, plus an absolute
-    /// [`crate::metrics::SKETCH_MIN`] floor for tiny values.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c as u64;
-            if cum >= rank {
-                return sketch_value(i);
-            }
-        }
-        sketch_value(SKETCH_BUCKETS - 1)
-    }
-
-    /// Fraction of windowed observations at or under `threshold`, judged
-    /// by each bucket's representative value (1.0 for an empty window —
-    /// no data is treated as meeting a latency objective, not violating
-    /// it).
-    pub fn fraction_le(&self, threshold: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 1.0;
-        }
-        let mut le = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 && sketch_value(i) <= threshold {
-                le += c as u64;
-            }
-        }
-        le as f64 / total as f64
-    }
+    Hist { last: HistSlot, rings: Vec<Ring<HistSlot>> },
 }
 
 /// What a windowed query returns for one series.
@@ -230,8 +170,9 @@ pub enum WindowValue {
     /// Most recent bucket value in the window and when the underlying
     /// gauge last changed (sampler clock).
     Gauge { value: f64, last_change_ms: u64 },
-    /// Merged observation deltas over the window.
-    Hist { count: u64, sum: f64, sketch: WindowSketch },
+    /// Merged observation deltas over the window (`count` is the sketch's
+    /// total).
+    Hist { count: u64, sum: f64, sketch: Sketch },
 }
 
 /// Fixed-memory store of windowed series (see the module docs).
@@ -269,7 +210,7 @@ impl TimeSeriesStore {
 
     /// Folds one cumulative snapshot into the rings at sampler time
     /// `now_ms`.
-    pub fn ingest(&mut self, snap: &LightSnapshot, now_ms: u64) {
+    pub fn ingest(&mut self, snap: &Snapshot, now_ms: u64) {
         self.ingests += 1;
         self.last_ingest_ms = now_ms;
         for &(ref name, cur) in &snap.counters {
@@ -279,7 +220,7 @@ impl TimeSeriesStore {
             let levels = &self.cfg.levels;
             let s = self.series.entry(name.clone()).or_insert_with(|| Series::Counter {
                 last: cur,
-                rings: levels.iter().map(|&l| Ring::new(l, 0u64)).collect(),
+                rings: levels.iter().map(|&l| Ring::new(l)).collect(),
             });
             if let Series::Counter { last, rings } = s {
                 // A shrinking cumulative counter means the process (or the
@@ -288,20 +229,21 @@ impl TimeSeriesStore {
                 *last = cur;
                 if delta > 0 {
                     for ring in rings {
-                        *ring.touch(now_ms, &0) += delta;
+                        *ring.touch(now_ms) += delta;
                     }
                 }
             }
         }
         for &(ref name, cur) in &snap.gauges {
-            if !self.admit(name) {
+            let own_output = WINDOWED_QUANTILE_SUFFIXES.iter().any(|suf| name.ends_with(suf));
+            if own_output || !self.admit(name) {
                 continue;
             }
             let levels = &self.cfg.levels;
             let s = self.series.entry(name.clone()).or_insert_with(|| Series::Gauge {
                 last: cur,
                 last_change_ms: now_ms,
-                rings: levels.iter().map(|&l| Ring::new(l, 0.0f64)).collect(),
+                rings: levels.iter().map(|&l| Ring::new(l)).collect(),
             });
             if let Series::Gauge { last, last_change_ms, rings } = s {
                 if cur != *last {
@@ -309,7 +251,7 @@ impl TimeSeriesStore {
                     *last_change_ms = now_ms;
                 }
                 for ring in rings {
-                    *ring.touch(now_ms, &0.0) = cur;
+                    *ring.touch(now_ms) = cur;
                 }
             }
         }
@@ -318,40 +260,26 @@ impl TimeSeriesStore {
                 continue;
             }
             let levels = &self.cfg.levels;
+            let cur = HistSlot { sum: h.sum, sketch: h.sketch.clone() };
             let s = self.series.entry(h.name.clone()).or_insert_with(|| Series::Hist {
-                last_count: h.count,
-                last_sum: h.sum,
-                last_sketch: h.sketch.clone(),
-                rings: levels.iter().map(|&l| Ring::new(l, HistSlot::default())).collect(),
+                last: cur.clone(),
+                rings: levels.iter().map(|&l| Ring::new(l)).collect(),
             });
-            if let Series::Hist { last_count, last_sum, last_sketch, rings } = s {
-                // Element-wise sketch delta; any shrink means a restart and
-                // the new cumulative state is taken whole.
-                let restarted = h.count < *last_count
-                    || h.sketch.iter().zip(last_sketch.iter()).any(|(&c, &l)| c < l);
-                let (dc, ds) = if restarted {
-                    (h.count, h.sum)
-                } else {
-                    (h.count - *last_count, h.sum - *last_sum)
+            if let Series::Hist { last, rings } = s {
+                // Any shrinking bucket means a restart, and the new
+                // cumulative state is taken whole.
+                let delta = match cur.sketch.delta_since(&last.sketch) {
+                    Some(sketch) => HistSlot { sum: cur.sum - last.sum, sketch },
+                    None => cur.clone(),
                 };
-                let zero = HistSlot::default();
-                if dc > 0 {
+                if delta.sketch.count() > 0 {
                     for ring in rings {
-                        let slot = ring.touch(now_ms, &zero);
-                        if slot.sketch.is_empty() {
-                            slot.sketch = vec![0; SKETCH_BUCKETS];
-                        }
-                        slot.count += dc;
-                        slot.sum += ds;
-                        for (i, a) in slot.sketch.iter_mut().enumerate() {
-                            let l = if restarted { 0 } else { last_sketch[i] };
-                            *a = a.saturating_add(h.sketch[i].saturating_sub(l));
-                        }
+                        let slot = ring.touch(now_ms);
+                        slot.sum += delta.sum;
+                        slot.sketch.merge(&delta.sketch);
                     }
                 }
-                *last_count = h.count;
-                *last_sum = h.sum;
-                last_sketch.clone_from(&h.sketch);
+                *last = cur;
             }
         }
     }
@@ -391,17 +319,13 @@ impl TimeSeriesStore {
                 Some(WindowValue::Gauge { value, last_change_ms: *last_change_ms })
             }
             Series::Hist { rings, .. } => {
-                let mut count = 0u64;
                 let mut sum = 0.0f64;
-                let mut sketch = WindowSketch::new();
+                let mut sketch = Sketch::default();
                 rings[li].scan(span_ms, now_ms, |_, slot| {
-                    count += slot.count;
                     sum += slot.sum;
-                    if !slot.sketch.is_empty() {
-                        sketch.merge(&slot.sketch);
-                    }
+                    sketch.merge(&slot.sketch);
                 });
-                Some(WindowValue::Hist { count, sum, sketch })
+                Some(WindowValue::Hist { count: sketch.count(), sum, sketch })
             }
         }
     }
@@ -441,9 +365,9 @@ impl TimeSeriesStore {
                 if count == 0 {
                     continue;
                 }
-                reg.set_gauge(&format!("{name}_p50_1m"), sketch.quantile(0.50));
-                reg.set_gauge(&format!("{name}_p95_1m"), sketch.quantile(0.95));
-                reg.set_gauge(&format!("{name}_p99_1m"), sketch.quantile(0.99));
+                for (suffix, v) in WINDOWED_QUANTILE_SUFFIXES.iter().zip(sketch.p50_p95_p99()) {
+                    reg.set_gauge(&format!("{name}{suffix}"), v);
+                }
             }
         }
         reg.set_gauge("timeseries.series", self.series.len() as f64);
@@ -488,14 +412,9 @@ impl TimeSeriesStore {
                     out.push_str("]}");
                 }
                 Series::Hist { rings, .. } => {
-                    let p99 = collect::<HistSlot>(&rings[0], e_now, n, |slot| {
-                        let mut w = WindowSketch::new();
-                        if !slot.sketch.is_empty() {
-                            w.merge(&slot.sketch);
-                        }
-                        w.quantile(0.99)
-                    });
-                    let counts = collect::<HistSlot>(&rings[0], e_now, n, |s| s.count as f64);
+                    let p99 = collect::<HistSlot>(&rings[0], e_now, n, |s| s.sketch.quantile(0.99));
+                    let counts =
+                        collect::<HistSlot>(&rings[0], e_now, n, |s| s.sketch.count() as f64);
                     out.push_str("{\"kind\":\"hist\",\"points\":[");
                     push_nums(&mut out, p99.iter().copied());
                     out.push_str("],\"counts\":[");
@@ -517,19 +436,13 @@ impl TimeSeriesStore {
 
 /// Oldest-first per-epoch values for one ring: `map` applied to live slots,
 /// `0.0`/default elsewhere.
-fn collect<T>(ring: &Ring<T>, e_now: u64, n: u64, map: impl Fn(&T) -> f64) -> Vec<f64>
-where
-    T: Clone,
-{
-    let e_lo = e_now.saturating_sub(n - 1);
+fn collect<T: Default>(ring: &Ring<T>, e_now: u64, n: u64, map: impl Fn(&T) -> f64) -> Vec<f64> {
     let mut pts = vec![0.0; n as usize];
-    for (i, &tag) in ring.tags.iter().enumerate() {
-        if tag != EMPTY && tag >= e_lo && tag <= e_now {
-            // Right-aligned: the newest bucket is always the last point,
-            // even while uptime is shorter than the window (early epochs
-            // then render as leading zeros, never trailing "future" slots).
-            pts[(n - 1 - (e_now - tag)) as usize] = map(&ring.slots[i]);
-        }
+    for (tag, v) in ring.live(e_now.saturating_sub(n - 1), e_now) {
+        // Right-aligned: the newest bucket is always the last point, even
+        // while uptime is shorter than the window (early epochs then render
+        // as leading zeros, never trailing "future" slots).
+        pts[(n - 1 - (e_now - tag)) as usize] = map(v);
     }
     pts
 }
@@ -550,8 +463,8 @@ mod tests {
     use super::*;
     use crate::metrics::Registry;
 
-    fn snap(reg: &Registry) -> LightSnapshot {
-        reg.windows_snapshot()
+    fn snap(reg: &Registry) -> Snapshot {
+        reg.snapshot()
     }
 
     #[test]
@@ -624,11 +537,12 @@ mod tests {
         assert_eq!(count, 100);
         let p50 = sketch.quantile(0.50);
         assert!((p50 - 100.0).abs() / 100.0 <= SKETCH_REL_ERR, "p50={p50}");
-        // The lifetime registry summary still says p50 == 10; the window
-        // is what sees the regression.
+        // The lifetime registry sketch still says p50 ≈ 10; the window is
+        // what sees the regression.
         let full = reg.snapshot();
         let h = full.histograms.iter().find(|h| h.name == "lat").expect("lat hist");
-        assert_eq!(h.p50, 10.0);
+        let p50 = h.sketch.quantile(0.50);
+        assert!((p50 - 10.0).abs() / 10.0 <= SKETCH_REL_ERR, "lifetime p50={p50}");
     }
 
     #[test]
@@ -689,6 +603,24 @@ mod tests {
         assert!(g("lat_p50_1m").is_some() && g("lat_p95_1m").is_some());
         assert_eq!(g("timeseries.series"), Some(1.0));
         assert_eq!(g("timeseries.dropped_events"), Some(0.0));
+    }
+
+    #[test]
+    fn published_window_gauges_are_not_ingested_back() {
+        let reg = Registry::new();
+        let mut ts = TimeSeriesStore::new(TsConfig::scaled(1_000));
+        reg.inc("req", 1);
+        reg.set_gauge("depth", 2.0);
+        for t in 0..5u64 {
+            reg.observe("lat", 20.0);
+            ts.ingest(&snap(&reg), t * 1_000);
+            ts.publish_windowed_gauges(&reg, t * 1_000);
+        }
+        // req, depth, lat and the store's two health gauges — not three
+        // more series per histogram.
+        assert_eq!(ts.series_count(), 5);
+        assert!(ts.window("lat_p99_1m", 60_000, 4_000).is_none());
+        assert!(reg.snapshot().gauges.iter().any(|(k, _)| k == "lat_p99_1m"));
     }
 
     #[test]

@@ -12,12 +12,9 @@
 //! considers it for the **exemplar table**: the slowest
 //! [`EXEMPLAR_CAP`] traces seen so far, kept with their full stage
 //! breakdown so a tail-latency incident always has concrete requests to
-//! look at. The `STISAN_TRACE_SAMPLE` environment variable thins exemplar
-//! candidates to one in N (`0` disables exemplars entirely); the histograms
-//! are always fed.
+//! look at.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::plock;
@@ -170,43 +167,22 @@ pub struct TraceExemplar {
 /// How many slowest traces the exemplar table retains.
 pub const EXEMPLAR_CAP: usize = 8;
 
-/// Tail-sampling state: the slowest-N table plus the sampling counter.
+/// Tail-sampling state: the slowest-N table.
 #[derive(Default)]
 pub struct TraceHub {
-    seen: AtomicU64,
     exemplars: Mutex<Vec<TraceExemplar>>,
-}
-
-/// `STISAN_TRACE_SAMPLE`: consider one in N finished traces for the
-/// exemplar table (default 1 = every trace; 0 = exemplars off).
-fn sample_every() -> u64 {
-    static SAMPLE: OnceLock<u64> = OnceLock::new();
-    *SAMPLE.get_or_init(|| {
-        std::env::var("STISAN_TRACE_SAMPLE")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(1)
-    })
 }
 
 impl TraceHub {
     /// Feeds one finished trace: per-stage histograms into `registry`,
-    /// then (subject to sampling) the slowest-N exemplar table.
+    /// then the slowest-N exemplar table.
     pub fn record(&self, registry: &crate::Registry, ctx: &TraceCtx) {
         for (_, to, us) in ctx.stage_durations() {
             registry.observe(interval_metric(to), us as f64);
         }
-        registry.observe("trace.total_us", ctx.total_us() as f64);
-
-        let every = sample_every();
-        if every == 0 {
-            return;
-        }
-        let n = self.seen.fetch_add(1, Ordering::Relaxed);
-        if !n.is_multiple_of(every) {
-            return;
-        }
         let total = ctx.total_us();
+        registry.observe("trace.total_us", total as f64);
+
         let mut table = plock(&self.exemplars);
         if table.len() >= EXEMPLAR_CAP && table.last().is_some_and(|w| total <= w.total_us) {
             return; // faster than everything retained
@@ -301,7 +277,7 @@ mod tests {
         // Histograms were fed for every trace.
         let snap = reg.snapshot();
         let total = snap.histograms.iter().find(|h| h.name == "trace.total_us");
-        assert_eq!(total.map(|h| h.count), Some(50));
+        assert_eq!(total.map(|h| h.count()), Some(50));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! End-to-end test of the continuous-profiling subsystem with the counting
 //! allocator actually installed as the global allocator — the one
 //! configuration the unit tests cannot exercise (a `#[global_allocator]`
-//! is per-binary). Covers thread-local attribution, the
-//! no-double-counting guarantee for nested frames, and the
-//! folded-export-vs-wall-time tolerance.
+//! is per-binary). Covers thread-local attribution, the allocation-free
+//! registry hot path, the no-double-counting guarantee for nested frames,
+//! and the folded-export-vs-wall-time tolerance.
 //!
 //! Everything lives in a single `#[test]` because the profiler and the
 //! accounting switch are process-global: parallel test threads toggling
@@ -56,6 +56,28 @@ fn profiling_end_to_end() {
         after.bytes - before.bytes < (1u64 << 18),
         "other-thread bytes leaked into this thread's counters: {}",
         after.bytes - before.bytes
+    );
+
+    // Registry hot path: the first sight of a name allocates its cell; every
+    // later inc / set_gauge / observe on it allocates nothing.
+    let reg = stisan_obs::Registry::new();
+    let touch = |reg: &stisan_obs::Registry| {
+        reg.inc("it.counter", 1);
+        reg.set_gauge("it.gauge", 0.5);
+        reg.observe("it.hist", 12.0);
+    };
+    let cold0 = alloc::thread_stats();
+    touch(&reg);
+    let warm0 = alloc::thread_stats();
+    for _ in 0..1_000 {
+        touch(&reg);
+    }
+    let warm1 = alloc::thread_stats();
+    assert!(warm0.allocs > cold0.allocs, "first sight must allocate, or the counter is dead");
+    assert_eq!(
+        (warm1.allocs - warm0.allocs, warm1.bytes - warm0.bytes),
+        (0, 0),
+        "registry calls on seen names allocated"
     );
 
     // Nested frames: the child's allocations are charged to the child

@@ -1,19 +1,15 @@
 //! Histogram quantile accuracy against known distributions.
 //!
-//! The registry computes nearest-rank quantiles over retained samples
-//! (capped at 262_144 per metric). Error bounds asserted here:
-//!
-//! - **Below the cap**, nearest-rank is exact on the sample set: for n
-//!   observations the reported q-quantile is the `ceil(q*n)`-th smallest
-//!   observation. The worst-case deviation from the distribution's true
-//!   quantile value is therefore one inter-sample gap, which we bound per
-//!   distribution below (uniform grid: one step; heavy-tail: 10% relative
-//!   at p99 for n = 10_000).
-//! - **Past the cap**, quantiles describe the first 262_144 samples only
-//!   while `count`/`mean`/`max` stay exact over everything; the cap test
-//!   pins that contract.
+//! The registry keeps no samples: quantiles are nearest-rank over the
+//! log-spaced bucket counts, reported as the bucket's midpoint. The bound
+//! asserted here, on the same distributions and seeds the exact-quantile
+//! suite used: every reported quantile is within `SKETCH_REL_ERR` (plus the
+//! `SKETCH_MIN` floor) of the exact nearest-rank quantile of the samples
+//! fed in — for any number of samples, in any order — while `count`,
+//! `sum` and `max` stay exact.
 
-use stisan_obs::Registry;
+use stisan_obs::metrics::{SKETCH_MIN, SKETCH_REL_ERR};
+use stisan_obs::{Histogram, Registry};
 
 /// Deterministic splitmix64, so distributions are reproducible.
 struct Rng(u64);
@@ -33,103 +29,95 @@ impl Rng {
     }
 }
 
-#[test]
-fn uniform_grid_quantiles_are_exact() {
-    // 1..=10_000: the q-quantile must be exactly ceil(q * 10_000).
+/// Exact nearest-rank quantile of the samples (the reference).
+fn exact_quantile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+/// Feeds `values` into a fresh registry and checks p50/p95/p99 against the
+/// exact sample quantiles, and `count`/`sum`/`max` for exactness.
+fn observed(values: &[f64]) -> Histogram {
     let r = Registry::new();
-    for v in 1..=10_000 {
-        r.observe("u", v as f64);
+    for &v in values {
+        r.observe("h", v);
     }
-    let h = &r.snapshot().histograms[0];
-    assert_eq!(h.p50, 5_000.0);
-    assert_eq!(h.p95, 9_500.0);
-    assert_eq!(h.p99, 9_900.0);
+    let h = r.snapshot().histograms.remove(0);
+    for q in [0.50, 0.95, 0.99] {
+        let (got, want) = (h.sketch.quantile(q), exact_quantile(values, q));
+        assert!(
+            (got - want).abs() <= want * SKETCH_REL_ERR + SKETCH_MIN,
+            "q{q}: sketch {got} vs exact {want}"
+        );
+    }
+    assert_eq!(h.count(), values.len() as u64);
+    assert_eq!(h.max, values.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+    let sum: f64 = values.iter().sum();
+    assert!((h.sum - sum).abs() <= sum.abs() * 1e-12, "sum {} vs {sum}", h.sum);
+    h
+}
+
+#[test]
+fn uniform_grid_quantiles_within_bound() {
+    // 1..=10_000: the exact q-quantile is ceil(q * 10_000).
+    let grid: Vec<f64> = (1..=10_000).map(|v| v as f64).collect();
+    let h = observed(&grid);
     assert_eq!(h.max, 10_000.0);
-    assert!((h.mean - 5_000.5).abs() < 1e-9);
+    assert!((h.mean() - 5_000.5).abs() < 1e-9);
 }
 
 #[test]
 fn shuffled_order_does_not_change_quantiles() {
-    // Same grid fed in a scrambled order: quantiles are order-invariant.
-    let r = Registry::new();
-    let mut vals: Vec<u64> = (1..=10_000).collect();
+    // Same grid fed in a scrambled order: the sketch is order-invariant.
+    let mut vals: Vec<f64> = (1..=10_000).map(|v| v as f64).collect();
+    let sorted = observed(&vals);
     let mut rng = Rng(7);
     for i in (1..vals.len()).rev() {
         vals.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
     }
-    for v in vals {
-        r.observe("u", v as f64);
-    }
-    let h = &r.snapshot().histograms[0];
-    assert_eq!((h.p50, h.p95, h.p99), (5_000.0, 9_500.0, 9_900.0));
+    assert_eq!(observed(&vals).sketch, sorted.sketch);
 }
 
 #[test]
-fn uniform_continuous_within_one_percent() {
-    // 10_000 U(0,1) draws: sampling error at these quantiles is well under
-    // 1 percentage point (binomial std-dev ≈ 0.5% at p50, smaller at tails).
-    let r = Registry::new();
+fn uniform_continuous_within_bound() {
     let mut rng = Rng(42);
-    for _ in 0..10_000 {
-        r.observe("u01", rng.next_f64());
-    }
-    let h = &r.snapshot().histograms[0];
-    assert!((h.p50 - 0.50).abs() < 0.01, "p50 = {}", h.p50);
-    assert!((h.p95 - 0.95).abs() < 0.01, "p95 = {}", h.p95);
-    assert!((h.p99 - 0.99).abs() < 0.01, "p99 = {}", h.p99);
-    assert!((h.mean - 0.5).abs() < 0.01, "mean = {}", h.mean);
+    let vals: Vec<f64> = (0..10_000).map(|_| rng.next_f64()).collect();
+    let h = observed(&vals);
+    assert!((h.mean() - 0.5).abs() < 0.01, "mean = {}", h.mean());
 }
 
 #[test]
-fn exponential_tail_within_ten_percent_relative() {
-    // Exp(1) via inverse CDF: true quantiles are -ln(1-q). Heavy-ish tail,
-    // so assert 10% relative error at p95/p99 with n = 10_000.
-    let r = Registry::new();
+fn exponential_tail_within_bound() {
+    // Exp(1) via inverse CDF: a heavy-ish tail across many buckets.
     let mut rng = Rng(1234);
-    for _ in 0..10_000 {
-        let u = rng.next_f64();
-        r.observe("exp", -(1.0 - u).ln());
-    }
-    let h = &r.snapshot().histograms[0];
-    for (got, q) in [(h.p50, 0.50_f64), (h.p95, 0.95), (h.p99, 0.99)] {
-        let truth = -(1.0 - q).ln();
-        let rel = (got - truth).abs() / truth;
-        assert!(rel < 0.10, "q{q}: got {got}, want {truth} (rel err {rel:.3})");
-    }
+    let vals: Vec<f64> = (0..10_000).map(|_| -(1.0 - rng.next_f64()).ln()).collect();
+    observed(&vals);
 }
 
 #[test]
 fn bimodal_p50_picks_a_mode_edge() {
     // Half the mass at 1, half at 100: nearest-rank p50 must sit on the
     // low mode (rank 5_000 of 10_000 is the last 1.0), p95/p99 on the high.
-    let r = Registry::new();
-    for i in 0..10_000 {
-        r.observe("bi", if i % 2 == 0 { 1.0 } else { 100.0 });
-    }
-    let h = &r.snapshot().histograms[0];
-    assert_eq!(h.p50, 1.0);
-    assert_eq!(h.p95, 100.0);
-    assert_eq!(h.p99, 100.0);
+    let vals: Vec<f64> = (0..10_000).map(|i| if i % 2 == 0 { 1.0 } else { 100.0 }).collect();
+    let h = observed(&vals);
+    assert!(h.sketch.quantile(0.50) < 1.1);
+    assert!(h.sketch.quantile(0.95) > 90.0);
 }
 
 #[test]
-fn beyond_sample_cap_count_stays_exact() {
-    // 262_144 retained + 50_000 overflow: count/mean/max cover everything,
-    // quantiles describe the retained prefix (documented contract).
-    const CAP: u64 = 262_144;
-    const EXTRA: u64 = 50_000;
-    let r = Registry::new();
-    for v in 0..CAP {
-        r.observe("capped", 1.0 + (v % 100) as f64);
-    }
-    for _ in 0..EXTRA {
-        r.observe("capped", 1_000_000.0);
-    }
-    let h = &r.snapshot().histograms[0];
-    assert_eq!(h.count, CAP + EXTRA);
+fn late_observations_move_lifetime_quantiles() {
+    // Quantiles cover every observation, not a retained prefix: 50_000
+    // high values arriving after 262_144 low ones (16% of the total) must
+    // put p99 on the high mode.
+    const EARLY: u64 = 262_144;
+    const LATE: u64 = 50_000;
+    let mut vals: Vec<f64> = (0..EARLY).map(|v| 1.0 + (v % 100) as f64).collect();
+    vals.extend((0..LATE).map(|_| 1_000_000.0));
+    let h = observed(&vals);
+    assert_eq!(h.count(), EARLY + LATE);
     assert_eq!(h.max, 1_000_000.0);
-    assert!(h.p99 <= 100.0, "quantiles come from the retained prefix, got {}", h.p99);
-    let retained_sum: f64 = (0..CAP).map(|v| 1.0 + (v % 100) as f64).sum();
-    let want_mean = (retained_sum + 1_000_000.0 * EXTRA as f64) / (CAP + EXTRA) as f64;
-    assert!((h.mean - want_mean).abs() / want_mean < 1e-9);
+    let p99 = h.sketch.quantile(0.99);
+    assert!(p99 > 900_000.0, "p99 must sit on the late high mode, got {p99}");
 }

@@ -39,7 +39,7 @@ fn nesting_is_per_thread_and_counts_are_exact() {
 
     let snap = obs.registry.snapshot();
     let count = |name: &str| {
-        snap.histograms.iter().find(|h| h.name == name).map(|h| h.count).unwrap_or(0)
+        snap.histograms.iter().find(|h| h.name == name).map(|h| h.count()).unwrap_or(0)
     };
     assert_eq!(count("span.request"), (THREADS * REPS) as u64);
     assert_eq!(count("span.request/score"), (THREADS / 2 * REPS) as u64);

@@ -17,7 +17,7 @@
 //!    changes nothing as long as it stays inside the bucket.
 
 use stisan_obs::metrics::{SKETCH_MIN, SKETCH_REL_ERR};
-use stisan_obs::{LightSnapshot, Registry, TimeSeriesStore, TsConfig, WindowValue};
+use stisan_obs::{Registry, Snapshot, TimeSeriesStore, TsConfig, WindowValue};
 
 /// Deterministic splitmix64 (same idiom as `quantile_accuracy.rs`).
 struct Rng(u64);
@@ -58,7 +58,7 @@ fn merged_window_sketch_matches_whole_window_histogram_within_bound() {
         // sight of a series establishes its cumulative baseline, so
         // observations before it are (by design) not windowed.
         reg.observe("lat", 1.0);
-        ts.ingest(&reg.windows_snapshot(), 0);
+        ts.ingest(&reg.snapshot(), 0);
         // 30 sampler ticks at 1 s; observations spread over a latency range
         // wide enough to cross many sketch buckets (0.05 .. ~5e4).
         let mut window_values: Vec<f64> = Vec::new();
@@ -71,7 +71,7 @@ fn merged_window_sketch_matches_whole_window_histogram_within_bound() {
                 window_values.push(v);
             }
             now += 1_000;
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
         }
         let Some(WindowValue::Hist { count, sketch, .. }) = ts.window("lat", 40_000, now)
         else {
@@ -99,7 +99,7 @@ fn partial_window_merge_equals_sum_of_its_buckets() {
         let reg = Registry::new();
         let mut ts = TimeSeriesStore::new(TsConfig::scaled(1_000));
         reg.observe("lat", 1.0); // establish the series before the baseline
-        ts.ingest(&reg.windows_snapshot(), 0);
+        ts.ingest(&reg.snapshot(), 0);
         let mut per_tick: Vec<u64> = Vec::new();
         let mut now = 0u64;
         for _ in 0..20 {
@@ -109,7 +109,7 @@ fn partial_window_merge_equals_sum_of_its_buckets() {
             }
             per_tick.push(n);
             now += 1_000;
-            ts.ingest(&reg.windows_snapshot(), now);
+            ts.ingest(&reg.snapshot(), now);
         }
         // A trailing window of k whole buckets holds exactly the last k
         // ticks' observations (ingests happen at bucket starts, so tick i
@@ -138,7 +138,7 @@ fn counter_windows_are_monotone_sums_of_increments() {
         let mut cum = 0u64;
         let mut true_total = 0u64;
         let mut now = 0u64;
-        let snap = |c: u64| LightSnapshot {
+        let snap = |c: u64| Snapshot {
             counters: vec![("req".to_string(), c)],
             gauges: vec![],
             histograms: vec![],
@@ -177,7 +177,7 @@ fn shrinking_counter_never_produces_a_garbage_delta() {
     // A two's-complement diff would inject ~2^64; the reset rule must
     // contribute exactly the new value.
     let mut ts = TimeSeriesStore::new(TsConfig::scaled(1_000));
-    let snap = |c: u64| LightSnapshot {
+    let snap = |c: u64| Snapshot {
         counters: vec![("req".to_string(), c)],
         gauges: vec![],
         histograms: vec![],
@@ -200,7 +200,7 @@ fn sampler_jitter_within_a_bucket_does_not_move_attribution() {
         let mut rng = Rng(seed ^ 0x717E);
         let mut aligned = TimeSeriesStore::new(TsConfig::scaled(1_000));
         let mut jittered = TimeSeriesStore::new(TsConfig::scaled(1_000));
-        let snap = |c: u64| LightSnapshot {
+        let snap = |c: u64| Snapshot {
             counters: vec![("req".to_string(), c)],
             gauges: vec![],
             histograms: vec![],
@@ -238,7 +238,7 @@ fn jittered_rollups_agree_across_levels() {
     // agree when the window is a whole number of coarse buckets.
     let mut rng = Rng(42);
     let mut ts = TimeSeriesStore::new(TsConfig::scaled(1_000));
-    let snap = |c: u64| LightSnapshot {
+    let snap = |c: u64| Snapshot {
         counters: vec![("req".to_string(), c)],
         gauges: vec![],
         histograms: vec![],

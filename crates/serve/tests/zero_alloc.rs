@@ -10,9 +10,10 @@
 //! arena's scratch slot, so the *entire* `serve_one_into` call is
 //! allocation-free at steady state, prep included.
 //!
-//! `stisan_obs::init()` is deliberately never called: counters and
-//! histograms are no-ops while disabled, which is exactly the production
-//! configuration the zero-alloc claim is made for.
+//! Both gates call `stisan_obs::init()` before warm-up, because that is how
+//! the gateway ships: every counter and histogram on the serve path records
+//! for real, and a registry call on a name it has already seen allocates
+//! nothing.
 
 use std::sync::Mutex;
 
@@ -135,12 +136,14 @@ fn warm_arena_serving_is_allocation_free() {
     let m = GateScorer::new(p.num_pois, 16, 7);
 
     let session = InferenceSession::new(&m, &p, ServeConfig::default());
+    stisan_obs::init();
 
     let mut scratch = session.checkout_scratch();
     let mut rec = Recommendation::default();
 
     // Warm-up: first passes size every pool (arena size classes, candidate
-    // and score vectors, top-K heap, the gate's id buffer).
+    // and score vectors, top-K heap, the gate's id buffer) and create the
+    // serve path's registry cells.
     for _ in 0..3 {
         for inst in &p.eval {
             session.serve_one_into(inst, &mut scratch, &mut rec);
@@ -186,12 +189,13 @@ fn warm_stisan_serving_is_allocation_free() {
     let m = StiSan::new(&p, StisanConfig { train, ..Default::default() });
 
     let session = InferenceSession::new(&m, &p, ServeConfig::default());
+    stisan_obs::init();
     let mut scratch = session.checkout_scratch();
     let mut rec = Recommendation::default();
 
     // Warm-up: sizes the arena classes, the prep scratch slot (SeqBatch,
     // positional/interval buffers), candidate + score vectors, top-K heap,
-    // and the model's cached candidate table.
+    // the model's cached candidate table, and the registry cells.
     for _ in 0..3 {
         for inst in &p.eval {
             session.serve_one_into(inst, &mut scratch, &mut rec);

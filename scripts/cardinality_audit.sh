@@ -14,15 +14,12 @@
 #   * sample lines (series, incl. per-quantile/window gauges) vs
 #     SERIES_BUDGET, kept under the store's 256 with headroom for the
 #     per-deployment series a real fleet adds.
-#
-# Budgets are env-overridable for experiments:
-#   FAMILY_BUDGET=160 SERIES_BUDGET=224 ./scripts/cardinality_audit.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCRAPE=${1:-results/metrics_scrape.prom}
-FAMILY_BUDGET=${FAMILY_BUDGET:-160}
-SERIES_BUDGET=${SERIES_BUDGET:-224}
+FAMILY_BUDGET=160
+SERIES_BUDGET=224
 
 if [ ! -f "$SCRAPE" ]; then
     echo "cardinality_audit: $SCRAPE not found (run gateway_bench --smoke first)" >&2
