@@ -12,8 +12,8 @@
 //!
 //! The backend is a supervised `ReplicatedEngine` at
 //! `SupervisorConfig::default()` — the configuration `BENCHMARK.json`'s
-//! `gateway_closed_100k` workload measures. Talk to it with `gateway_bench`
-//! or any `GatewayClient`.
+//! `gateway_closed_100k` workload measures. Talk to it with any
+//! `stisan_gateway::GatewayClient`, or let `--self-load` do so.
 //!
 //! `--admin` additionally binds the observability endpoint (`GET /metrics`
 //! in Prometheus text format, `/healthz`, `/flightrec`, `/traces`, and the

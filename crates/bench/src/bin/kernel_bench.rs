@@ -7,22 +7,20 @@
 //! ```
 //!
 //! For each kernel the report prints iterations/second and p95 per-call
-//! latency for both variants plus the blocked-over-naive speedup; the same
-//! numbers land machine-readably in `results/BENCH_kernels.json` (the flat
-//! `label`/`rps`/`p95_ms` object format `scripts/bench_compare.sh` diffs
-//! against `results/BENCH_kernels.baseline.json`). The differential suite
-//! (`crates/tensor/tests/kernel_diff.rs`) proves the two variants agree bit
-//! for bit; this binary measures what that parity costs.
+//! latency for both variants plus the blocked-over-naive speedup. The
+//! differential suite (`crates/tensor/tests/kernel_diff.rs`) proves the two
+//! variants agree bit for bit; this binary measures what that parity costs.
+//! It is a developer's table, not a perf ledger: what the kernels cost a
+//! served request is `tensor.kernels.*_us_per_req` in
+//! `crates/e2e_bench/baseline/BENCH_e2e.json`.
 //!
 //! In full (non-smoke) mode the contraction kernels gate the run: blocked
 //! must not be slower than naive, otherwise the blocking is dead weight.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stisan_obs::report::{json_num, json_str};
 use stisan_tensor::kernels::{self, naive};
 use stisan_tensor::Array;
 
@@ -65,25 +63,13 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
 }
 
 struct PathStats {
-    label: String,
     rps: f64,
     p95_ms: f64,
 }
 
-impl PathStats {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"label\":{},\"rps\":{},\"p95_ms\":{}}}",
-            json_str(&self.label),
-            json_num(self.rps),
-            json_num(self.p95_ms),
-        )
-    }
-}
-
 /// Times `iters` calls of `f` (after two warm-up calls) and reports
 /// calls/second plus p95 per-call latency.
-fn time_variant(label: String, iters: usize, mut f: impl FnMut()) -> PathStats {
+fn time_variant(iters: usize, mut f: impl FnMut()) -> PathStats {
     f();
     f();
     let mut lat_ms = Vec::with_capacity(iters);
@@ -95,25 +81,25 @@ fn time_variant(label: String, iters: usize, mut f: impl FnMut()) -> PathStats {
     }
     let wall = t0.elapsed().as_secs_f64().max(1e-12);
     lat_ms.sort_by(|a, b| a.total_cmp(b));
-    PathStats { label, rps: iters as f64 / wall, p95_ms: percentile(&lat_ms, 0.95) }
+    PathStats { rps: iters as f64 / wall, p95_ms: percentile(&lat_ms, 0.95) }
 }
 
-/// Benches one kernel's blocked and naive variants; returns
-/// `(blocked, naive, speedup)`.
+/// Benches one kernel's blocked and naive variants, prints the row, and
+/// returns the blocked-over-naive speedup.
 fn bench_pair(
     name: &str,
     iters: usize,
     mut blocked: impl FnMut(),
     mut reference: impl FnMut(),
-) -> (PathStats, PathStats, f64) {
-    let b = time_variant(format!("{name}/blocked"), iters, &mut blocked);
-    let n = time_variant(format!("{name}/naive"), iters, &mut reference);
+) -> f64 {
+    let b = time_variant(iters, &mut blocked);
+    let n = time_variant(iters, &mut reference);
     let speedup = b.rps / n.rps.max(1e-12);
     println!(
         "{:<22} blocked {:>9.1}/s (p95 {:>7.3} ms)   naive {:>9.1}/s (p95 {:>7.3} ms)   {:>5.2}x",
         name, b.rps, b.p95_ms, n.rps, n.p95_ms, speedup
     );
-    (b, n, speedup)
+    speedup
 }
 
 fn main() {
@@ -148,10 +134,9 @@ fn main() {
     let (mut out_sm_b, mut out_sm_n) = (vec![0.0f32; sr * sw], vec![0.0f32; sr * sw]);
     let (mut out_max_b, mut out_max_n) = (vec![0.0f32; xb * xd], vec![0.0f32; xb * xd]);
 
-    let mut paths: Vec<PathStats> = Vec::new();
     let mut gated_speedups: Vec<(&str, f64)> = Vec::new();
 
-    let (bp, np, s) = bench_pair(
+    let s = bench_pair(
         "matmul 96x64x1000",
         o.iters,
         || {
@@ -163,14 +148,13 @@ fn main() {
             std::hint::black_box(&out_mm_n);
         },
     );
-    paths.extend([bp, np]);
     gated_speedups.push(("matmul", s));
 
     // Small attention-shaped batch: under the 64-wide panel and under
     // BMM_PARALLEL_FLOPS, so this measures pure blocking overhead at the
     // window sizes self-attention actually runs at. Reported, not gated —
     // panel setup can lose a few percent here.
-    let (bp, np, _) = bench_pair(
+    bench_pair(
         "bmm 8x48x64x48",
         o.iters,
         || {
@@ -182,7 +166,6 @@ fn main() {
             std::hint::black_box(&out_bmm_n);
         },
     );
-    paths.extend([bp, np]);
 
     // Candidate-scoring-shaped batch: crosses both the column panel and
     // BMM_PARALLEL_FLOPS, i.e. the production fan-out path. Gated.
@@ -195,7 +178,7 @@ fn main() {
     let lbm = Array::uniform(vec![lb, lk, ln], -1.0, 1.0, &mut rng);
     let (mut out_lbmm_b, mut out_lbmm_n) =
         (vec![0.0f32; lb * lm * ln], vec![0.0f32; lb * lm * ln]);
-    let (bp, np, s) = bench_pair(
+    let s = bench_pair(
         "bmm 4x96x64x200",
         o.iters,
         || {
@@ -207,10 +190,9 @@ fn main() {
             std::hint::black_box(&out_lbmm_n);
         },
     );
-    paths.extend([bp, np]);
     gated_speedups.push(("bmm", s));
 
-    let (bp, np, s) = bench_pair(
+    let s = bench_pair(
         "linear 512x64x200",
         o.iters,
         || {
@@ -226,10 +208,9 @@ fn main() {
             std::hint::black_box(&out_lin_n);
         },
     );
-    paths.extend([bp, np]);
     gated_speedups.push(("linear", s));
 
-    let (bp, np, _) = bench_pair(
+    bench_pair(
         "softmax 2048x64",
         o.iters,
         || {
@@ -241,9 +222,8 @@ fn main() {
             std::hint::black_box(&out_sm_n);
         },
     );
-    paths.extend([bp, np]);
 
-    let (bp, np, _) = bench_pair(
+    bench_pair(
         "layer_norm 2048x64",
         o.iters,
         || {
@@ -253,9 +233,8 @@ fn main() {
             std::hint::black_box(naive::layer_norm_affine(&sm, &ln_alpha, &ln_beta, 1e-5));
         },
     );
-    paths.extend([bp, np]);
 
-    let (bp, np, _) = bench_pair(
+    bench_pair(
         "max_axis1 64x48x64",
         o.iters,
         || {
@@ -267,24 +246,9 @@ fn main() {
             std::hint::black_box(&out_max_n);
         },
     );
-    paths.extend([bp, np]);
-
-    let mut json = String::from("{");
-    let _ = write!(json, "\"bench\":\"kernels\",\"smoke\":{},\"iters\":{}", o.smoke, o.iters);
-    json.push_str(",\"paths\":[");
-    for (i, p) in paths.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&p.to_json());
-    }
-    json.push_str("]}");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_kernels.json", json).expect("write BENCH_kernels.json");
-    println!("wrote results/BENCH_kernels.json");
 
     if o.smoke {
-        println!("smoke OK: {} kernel variants timed", paths.len());
+        println!("smoke OK");
     } else {
         // The contraction kernels are the reason the blocked rewrites exist;
         // losing to the naive loop means the blocking is actively harmful.

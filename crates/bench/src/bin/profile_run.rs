@@ -12,23 +12,22 @@
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use stisan_bench::{default_scale, load, relation_for, temperature_for, Flags};
-use stisan_core::{StiSan, StisanConfig};
+use stisan_bench::{default_scale, load, stisan_config, Flags};
+use stisan_core::StiSan;
 use stisan_data::DatasetPreset;
 use stisan_eval::{build_candidates, evaluate};
-use stisan_models::TrainConfig;
 
 fn main() {
-    // Smaller defaults than the table binaries: this run exists to produce a
+    // Smaller defaults than the `repro` exhibits: this run exists to produce a
     // readable cost profile, not paper-grade metrics.
     let flags =
         Flags::parse_with(Flags { epochs: 2, scale: Some(0.01), max_len: 32, ..Flags::default() });
     let obs = stisan_obs::init();
 
-    let preset = DatasetPreset::all()
-        .into_iter()
-        .find(|p| flags.wants_dataset(p.name()))
-        .expect("--datasets filtered out every preset");
+    let preset = flags
+        .wanted(DatasetPreset::all())
+        .next()
+        .expect("--datasets names are validated presets");
     let data = load(preset, &flags);
     let s = data.stats();
     stisan_obs::info!(
@@ -40,16 +39,7 @@ fn main() {
         flags.epochs
     );
 
-    let cfg = StisanConfig {
-        train: TrainConfig {
-            negatives: 15,
-            temperature: temperature_for(preset),
-            ..flags.train_config()
-        },
-        relation: relation_for(preset),
-        ..Default::default()
-    };
-    let mut model = StiSan::new(&data, cfg);
+    let mut model = StiSan::new(&data, stisan_config(preset, &flags));
     match flags.checkpoint_config(preset, flags.seed) {
         Some(cc) => {
             let summary = model

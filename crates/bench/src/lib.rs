@@ -1,9 +1,10 @@
 //! # stisan-bench
 //!
-//! Shared harness for the per-table/figure experiment binaries: flag parsing,
-//! dataset construction at laptop-friendly scales, and the model zoo.
+//! Shared harness for the `repro` exhibits (one per paper table/figure) and
+//! `profile_run`: flag parsing, dataset construction at laptop-friendly
+//! scales, and the model zoo.
 //!
-//! Every binary accepts:
+//! Both binaries accept:
 //!
 //! * `--scale <f>` — dataset scale relative to the paper's Table II sizes
 //!   (default: per-preset values chosen so the whole suite runs on a CPU);
@@ -15,9 +16,6 @@
 //!   plus automatic resume from the newest valid checkpoint.
 
 pub mod paper;
-pub mod summary;
-
-pub use summary::record_bench_summary;
 
 use stisan_core::{CheckpointConfig, StiSan, StisanConfig};
 use stisan_data::{generate, preprocess, DatasetPreset, PrepConfig, Processed, RelationConfig};
@@ -80,55 +78,77 @@ impl Default for Flags {
 }
 
 impl Flags {
-    /// Parses `std::env::args()`. Unknown flags abort with a usage message.
-    pub fn parse() -> Flags {
-        Self::parse_with(Flags::default())
+    /// Parses `std::env::args()` on top of `base` defaults, so a binary can
+    /// ship its own defaults (e.g. `profile_run` trains fewer epochs). A
+    /// rejected command line is reported on stderr and exits with code 2.
+    pub fn parse_with(base: Flags) -> Flags {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse_from(base, &args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
-    /// Parses `std::env::args()` on top of `base` defaults, so a binary can
-    /// ship its own defaults (e.g. `profile_run` trains fewer epochs).
-    pub fn parse_with(base: Flags) -> Flags {
+    /// Parses `args` on top of `base`. Unknown flags, missing or malformed
+    /// values, and `--datasets` / `--models` names outside
+    /// `DatasetPreset::all()` / [`MODEL_NAMES`] (compared case-insensitively)
+    /// are errors: a typo must not select nothing and print an empty table.
+    pub fn parse_from(base: Flags, args: &[String]) -> Result<Flags, String> {
+        fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("bad value {v:?} for {key}"))
+        }
+        fn names(key: &str, v: &str, valid: &[&str]) -> Result<Vec<String>, String> {
+            let picked: Vec<String> = v.split(',').map(str::to_lowercase).collect();
+            match picked.iter().find(|n| !valid.iter().any(|ok| ok.to_lowercase() == **n)) {
+                Some(bad) => {
+                    Err(format!("unknown name {bad:?} in {key}; valid: {}", valid.join(", ")))
+                }
+                None => Ok(picked),
+            }
+        }
         let mut f = base;
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i].clone();
-            let take = |i: &mut usize| -> String {
-                *i += 1;
-                args.get(*i).unwrap_or_else(|| panic!("flag {key} needs a value")).clone()
-            };
+        let mut it = args.iter();
+        while let Some(key) = it.next() {
+            let mut val = || it.next().ok_or_else(|| format!("flag {key} needs a value"));
             match key.as_str() {
-                "--scale" => f.scale = Some(take(&mut i).parse().expect("bad --scale")),
-                "--dim" => f.dim = take(&mut i).parse().expect("bad --dim"),
-                "--blocks" => f.blocks = take(&mut i).parse().expect("bad --blocks"),
-                "--epochs" => f.epochs = take(&mut i).parse().expect("bad --epochs"),
-                "--batch" => f.batch = take(&mut i).parse().expect("bad --batch"),
-                "--lr" => f.lr = take(&mut i).parse().expect("bad --lr"),
-                "--max-len" => f.max_len = take(&mut i).parse().expect("bad --max-len"),
-                "--rounds" => f.rounds = take(&mut i).parse().expect("bad --rounds"),
-                "--seed" => f.seed = take(&mut i).parse().expect("bad --seed"),
+                "--scale" => f.scale = Some(num(key, val()?)?),
+                "--dim" => f.dim = num(key, val()?)?,
+                "--blocks" => f.blocks = num(key, val()?)?,
+                "--epochs" => f.epochs = num(key, val()?)?,
+                "--batch" => f.batch = num(key, val()?)?,
+                "--lr" => f.lr = num(key, val()?)?,
+                "--max-len" => f.max_len = num(key, val()?)?,
+                "--rounds" => f.rounds = num(key, val()?)?,
+                "--seed" => f.seed = num(key, val()?)?,
                 "--verbose" => f.verbose = true,
                 "--datasets" => {
-                    f.datasets = Some(take(&mut i).split(',').map(|s| s.to_lowercase()).collect())
+                    let valid = DatasetPreset::all().map(|p| p.name());
+                    f.datasets = Some(names(key, val()?, &valid)?)
                 }
-                "--models" => {
-                    f.models = Some(take(&mut i).split(',').map(|s| s.to_lowercase()).collect())
+                "--models" => f.models = Some(names(key, val()?, &MODEL_NAMES)?),
+                "--ckpt-dir" => f.ckpt_dir = Some(val()?.into()),
+                other => {
+                    return Err(format!(
+                        "unknown flag {other}; supported: --scale --dim --blocks --epochs --batch \
+                         --lr --max-len --rounds --seed --verbose --datasets --models --ckpt-dir"
+                    ))
                 }
-                "--ckpt-dir" => f.ckpt_dir = Some(take(&mut i).into()),
-                other => panic!(
-                    "unknown flag {other}; supported: --scale --dim --blocks --epochs --batch \
-                     --lr \
-                     --max-len --rounds --seed --verbose --datasets --models --ckpt-dir"
-                ),
             }
-            i += 1;
         }
-        f
+        Ok(f)
     }
 
     /// Whether `name` passes the `--datasets` filter.
     pub fn wants_dataset(&self, name: &str) -> bool {
         self.datasets.as_ref().map(|d| d.iter().any(|x| x == &name.to_lowercase())).unwrap_or(true)
+    }
+
+    /// The presets of `among` that pass the `--datasets` filter, in order.
+    pub fn wanted<const N: usize>(
+        &self,
+        among: [DatasetPreset; N],
+    ) -> impl Iterator<Item = DatasetPreset> + '_ {
+        among.into_iter().filter(|p| self.wants_dataset(p.name()))
     }
 
     /// Whether `name` passes the `--models` filter.
@@ -239,6 +259,20 @@ pub fn relation_for(preset: DatasetPreset) -> RelationConfig {
     }
 }
 
+/// STiSAN as the paper trains it on `preset`: 15 negatives, the per-dataset
+/// temperature and relation thresholds, model size from `flags`.
+pub fn stisan_config(preset: DatasetPreset, flags: &Flags) -> StisanConfig {
+    StisanConfig {
+        train: TrainConfig {
+            negatives: 15,
+            temperature: temperature_for(preset),
+            ..flags.train_config()
+        },
+        relation: relation_for(preset),
+        ..Default::default()
+    }
+}
+
 /// The Table III model roster, in paper order.
 pub const MODEL_NAMES: [&str; 13] = [
     "POP", "BPR", "FPMC-LR", "PRME-G", "GRU4Rec", "Caser", "STGN", "SASRec", "Bert4Rec",
@@ -310,11 +344,8 @@ pub fn train_model(
             Box::new(m)
         }
         "STiSAN" => {
-            let cfg = StisanConfig {
-                train: TrainConfig { negatives: 15, temperature: temperature_for(preset), ..t },
-                relation: relation_for(preset),
-                ..Default::default()
-            };
+            let mut cfg = stisan_config(preset, flags);
+            cfg.train.seed = seed;
             let mut m = StiSan::new(data, cfg);
             match flags.checkpoint_config(preset, seed) {
                 Some(cc) => {
@@ -366,6 +397,35 @@ mod tests {
     fn model_roster_covers_table3() {
         assert_eq!(MODEL_NAMES.len(), 13);
         assert_eq!(MODEL_NAMES[12], "STiSAN");
+    }
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Flags::parse_from(Flags::default(), &args)
+    }
+
+    #[test]
+    fn misspelt_dataset_or_model_is_rejected_with_the_valid_list() {
+        // A typo must not filter every row away and exit 0 with an empty table.
+        for typo in ["Gowala", "nope", "Gowalla,nope"] {
+            let err = parse(&["--datasets", typo]).unwrap_err();
+            assert!(err.contains("Gowalla, Brightkite, Weeplaces, Changchun"), "{err}");
+        }
+        let err = parse(&["--models", "STiSAN,SASRek"]).unwrap_err();
+        assert!(err.contains("\"sasrek\"") && err.contains("SASRec"), "{err}");
+    }
+
+    #[test]
+    fn names_match_case_insensitively_and_flags_layer_over_the_base() {
+        let f = parse(&["--datasets", "gowalla,CHANGCHUN", "--models", "stisan", "--epochs", "3"])
+            .unwrap();
+        assert!(f.wants_dataset("Gowalla") && f.wants_dataset("Changchun"));
+        assert!(!f.wants_dataset("Weeplaces"));
+        assert!(f.wants_model("STiSAN") && !f.wants_model("POP"));
+        assert_eq!((f.epochs, f.dim), (3, Flags::default().dim));
+        assert!(parse(&["--bogus"]).unwrap_err().contains("unknown flag --bogus"));
+        assert!(parse(&["--epochs"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--epochs", "many"]).unwrap_err().contains("bad value"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   [`BatchPolicy::max_batch_size`];
 //! * **wait bound** — a batch becomes ready the moment it is full *or* its
 //!   oldest member has waited [`BatchPolicy::max_wait_us`]. With
-//!   `queue_capacity <= max_batch_size` (the bench's overload
+//!   `queue_capacity <= max_batch_size` (the overload tests'
 //!   configuration) every admitted request is therefore answered within
 //!   `max_wait_us` plus one batch service time — the property tests prove
 //!   it over random arrival patterns.

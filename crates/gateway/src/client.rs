@@ -1,5 +1,6 @@
 //! A minimal blocking client for the gateway protocol, used by the e2e
-//! suite and the `gateway_bench` load generator. One outstanding request
+//! suites and the load generators (`gateway_server --self-load`, the
+//! end-to-end benchmark). One outstanding request
 //! per connection (the protocol is strict request/response).
 //!
 //! ## Retries

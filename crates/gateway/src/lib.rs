@@ -23,9 +23,8 @@
 //!   supervised [`stisan_serve::ReplicatedEngine`] — and
 //!   [`Gateway::serve_reloading`] additionally runs a hot-reload poller
 //!   so new checkpoints publish with zero downtime (DESIGN.md §13).
-//! * **[`client`]** — a small blocking client for tests and the
-//!   `gateway_bench` load generator (closed- and open-loop, in
-//!   `stisan-bench`), with an opt-in bounded [`client::RetryPolicy`]
+//! * **[`client`]** — a small blocking client for tests and load
+//!   generators, with an opt-in bounded [`client::RetryPolicy`]
 //!   (exponential backoff + jitter, duplicate-safe re-send rules).
 //!
 //! Observability (`stisan-obs`): `gateway.queue_depth` (gauge),

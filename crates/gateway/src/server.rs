@@ -19,7 +19,8 @@
 //!   enforced at dequeue time), and hands the rest to the
 //!   [`EngineBackend`] — one batch at a time, like a device: batch k+1 is
 //!   not formed while batch k is being scored, which is exactly what makes
-//!   micro-batching the throughput lever (`gateway_bench` measures it).
+//!   micro-batching the throughput lever (`tests/batcher_props.rs` checks
+//!   the claim on a simulated clock).
 //!   The backend is a supervised `stisan_serve::ReplicatedEngine`, whose
 //!   replica count is the scoring parallelism; scoring **cannot panic
 //!   the gateway** — failures come back as typed [`ServeFailure`]s that

@@ -217,6 +217,11 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
         // fire inside the canary and quarantine the *good* epoch (the gate
         // correctly refuses a candidate that panics while scoring) — so
         // disarm the chaos and re-publish, exactly as an operator would.
+        // The chaos driver above is still running its script to wave 9, so
+        // this save can overlap its wave-6/8 saves through the same `mgr`:
+        // two threads, one directory. `CheckpointManager::save` serialises
+        // them: unserialised, one save's staging sweep deletes the other's
+        // in-flight `.tmp` and the `unwrap` below sees `NotFound`.
         plan.disarm();
         let t0 = Instant::now();
         while shared.epoch() != last_good_epoch && t0.elapsed() < Duration::from_secs(3) {

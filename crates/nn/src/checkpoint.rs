@@ -22,6 +22,7 @@
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::param::ParamStore;
@@ -33,6 +34,13 @@ const CKPT_EXT: &str = "stsn";
 const QUARANTINE_SUFFIX: &str = "corrupt";
 /// Suffix of in-flight atomic-write staging files.
 const TMP_SUFFIX: &str = "tmp";
+
+/// Serialises [`CheckpointManager::save`] across the process. The staging
+/// sweep deletes every `*.tmp` in the directory, so it must never run inside
+/// another save's window between creating its staging file and renaming it
+/// (that save would fail with `NotFound`). Saves are rare and short; one lock
+/// for all managers also covers two managers opened on the same directory.
+static SAVE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Failures while saving, discovering, or restoring checkpoints.
 #[derive(Debug)]
@@ -178,7 +186,8 @@ impl CheckpointManager {
 
     /// Atomically saves `store` (plus optional trainer state) as the
     /// checkpoint for `epoch`, sweeps leftover staging files, and enforces
-    /// retention. Returns the final path.
+    /// retention. Returns the final path. Concurrent saves (any thread, any
+    /// manager in this process) run one at a time.
     pub fn save(
         &self,
         store: &ParamStore,
@@ -186,6 +195,8 @@ impl CheckpointManager {
         epoch: u64,
     ) -> io::Result<PathBuf> {
         let t0 = Instant::now();
+        // The lock guards no data, so a poisoned one is still a valid lock.
+        let _saving = SAVE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         self.sweep_staging()?;
         let path = self.path_for(epoch);
         write_atomic(&path, &store.to_bytes_with(trainer))?;
@@ -339,6 +350,41 @@ mod tests {
         // ...and the next save sweeps it.
         mgr.save(&src, None, 2).unwrap();
         assert!(!stale.exists(), "stale .tmp survived the next save");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_saves_of_different_epochs_all_succeed() {
+        // The chaos suite's shape: two threads publishing through one
+        // manager. Unserialised, one thread's staging sweep deletes the
+        // other's in-flight `.tmp` and that save fails with `NotFound`.
+        let dir = tmpdir("concurrent");
+        let mgr = CheckpointManager::new(&dir, 4).unwrap();
+        let src = sample_store(1);
+        let start = std::sync::Barrier::new(2);
+        let failures: Vec<String> = std::thread::scope(|s| {
+            let savers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (mgr, src, start) = (&mgr, &src, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        (0..100u64)
+                            .filter_map(|i| mgr.save(src, None, 2 * i + t).err())
+                            .map(|e| e.to_string())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            savers.into_iter().flat_map(|h| h.join().expect("saver thread")).collect()
+        });
+        assert!(
+            failures.is_empty(),
+            "{} of 200 saves failed: {:?}",
+            failures.len(),
+            failures.first()
+        );
+        let epochs: Vec<u64> = mgr.list().unwrap().into_iter().map(|(e, _)| e).collect();
+        assert_eq!(epochs, vec![196, 197, 198, 199], "retention keeps the newest 4");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,8 +9,8 @@
 //! become `_`) since registry names use dotted paths. The document ends
 //! with `# EOF` so a truncated scrape is detectable.
 //!
-//! The parser exists so tooling (the `expo_check` bin, verify.sh, tests)
-//! can assert a scrape is well-formed without a Prometheus dependency:
+//! The parser exists so tests (unit, gateway e2e, the live admin-surface
+//! scrape) can assert a scrape is well-formed without a Prometheus dependency:
 //! it checks name/label syntax, value parses, TYPE declarations, and
 //! that every sample belongs to a declared family.
 

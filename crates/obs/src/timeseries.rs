@@ -33,8 +33,8 @@
 //! most ~350 KB per histogram series (1.3 KB per written bucket). A hard
 //! [`TsConfig::max_series`] budget bounds total memory: new series beyond
 //! the budget are refused and counted, never silently absorbed
-//! (`scripts/cardinality_audit.sh` gates the registry side of the same
-//! risk).
+//! (`crates/gateway/tests/admin_surface.rs` gates the registry side of the
+//! same risk on a live scrape).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -48,9 +48,9 @@
 //! Instrumented with `serve.latency_ms` (histogram) and
 //! `serve.pruned_candidates` (counter) via `stisan-obs`, plus the
 //! `gateway.replica_*` / `reload.*` fleet series. Throughput and tail
-//! latency against the tape-based path are measured by the `serve_bench`
-//! binary in `stisan-bench`; fleet behaviour under fault injection by
-//! `gateway_bench --chaos-smoke`.
+//! latency are measured by the end-to-end benchmark (`BENCHMARK.json`,
+//! `crates/e2e_bench`); fleet behaviour under fault injection by
+//! `crates/gateway/tests/chaos.rs`.
 
 mod breaker;
 pub mod chaos;

@@ -5,7 +5,8 @@
 //! candidate budget strictly smaller than the catalogue (the pruning is
 //! never vacuous).
 //!
-//! `cargo run -p stisan-bench --bin retrieval_bench` reports the throughput
+//! The end-to-end ledger (`crates/e2e_bench/baseline/BENCH_e2e.json`:
+//! `two_stage_batch_100k`, `retrieval.table.bytes`) reports the throughput
 //! and memory side of the same trade; this test is the ground truth on
 //! ranking quality.
 
