@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run --release -p stisan-bench --bin gateway_server -- \
 //!     [--addr 127.0.0.1:7878] [--admin 127.0.0.1:9878] [--scale f]
-//!     [--epochs n] [--batch n] [--wait-us n] [--queue n]
+//!     [--epochs n] [--batch n] [--queue n]
 //!     [--top-k k] [--seed s] [--self-load qps]
 //! ```
 //!
@@ -46,7 +46,6 @@ struct Opts {
     scale: f64,
     epochs: usize,
     batch: usize,
-    wait_us: u64,
     queue: usize,
     top_k: usize,
     seed: u64,
@@ -60,7 +59,6 @@ fn parse() -> Opts {
         scale: 0.02,
         epochs: 1,
         batch: 32,
-        wait_us: 2_000,
         queue: 256,
         top_k: 10,
         seed: 42,
@@ -80,14 +78,13 @@ fn parse() -> Opts {
             "--scale" => o.scale = take(&mut i).parse().expect("bad --scale"),
             "--epochs" => o.epochs = take(&mut i).parse().expect("bad --epochs"),
             "--batch" => o.batch = take(&mut i).parse().expect("bad --batch"),
-            "--wait-us" => o.wait_us = take(&mut i).parse().expect("bad --wait-us"),
             "--queue" => o.queue = take(&mut i).parse().expect("bad --queue"),
             "--top-k" => o.top_k = take(&mut i).parse().expect("bad --top-k"),
             "--seed" => o.seed = take(&mut i).parse().expect("bad --seed"),
             "--self-load" => o.self_load = take(&mut i).parse().expect("bad --self-load"),
             other => panic!(
                 "unknown flag {other}; supported: --addr --admin --scale --epochs --batch \
-                 --wait-us --queue --top-k --seed --self-load"
+                 --queue --top-k --seed --self-load"
             ),
         }
         i += 1;
@@ -125,11 +122,7 @@ fn main() {
         SupervisorConfig::default(),
     );
     let cfg = GatewayConfig {
-        batch: BatchPolicy {
-            max_batch_size: o.batch,
-            max_wait_us: o.wait_us,
-            queue_capacity: o.queue,
-        },
+        batch: BatchPolicy { max_batch_size: o.batch, queue_capacity: o.queue },
         read_timeout: Duration::from_secs(30),
         admin: o.admin,
         flight_dir: Some(PathBuf::from("results")),
@@ -138,11 +131,10 @@ fn main() {
     let gw = Gateway::bind(o.addr.as_str(), cfg).expect("bind gateway address");
     let handle = gw.handle();
     println!(
-        "serving on {} (batch <= {}, wait <= {} us, queue <= {}); press Enter or close \
-         stdin to drain and stop",
+        "serving on {} (batch <= {}, queue <= {}); press Enter or close stdin to drain and \
+         stop",
         gw.local_addr(),
         o.batch,
-        o.wait_us,
         o.queue
     );
     if let Some(admin) = gw.admin_addr() {

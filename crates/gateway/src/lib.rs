@@ -12,9 +12,11 @@
 //!   functions; corruption of any single bit yields a typed
 //!   [`protocol::DecodeError`], never a panic (the corruption suite proves
 //!   it with the `stisan_nn::fault` injectors).
-//! * **[`batcher`]** — dynamic micro-batching as a pure, simulated-clock
-//!   state machine: bounded admission, `max_batch_size` / `max_wait_us`
-//!   coalescing, FIFO batches. Property-tested without real sleeps.
+//! * **[`batcher`]** — work-conserving micro-batching as a pure state
+//!   machine: a bounded FIFO that seals whatever is pending (up to
+//!   `max_batch_size`) whenever the engine is idle, accumulates only while
+//!   a batch is in flight, sheds at `queue_capacity` and closes on drain.
+//!   Property-tested on a simulated clock, without real sleeps.
 //! * **[`server`]** — the serving loop: bounded pending queue that sheds
 //!   with `OVERLOADED` frames, per-request deadlines enforced at dequeue
 //!   (`DEADLINE_EXCEEDED`), per-connection idle timeouts, and graceful
@@ -55,7 +57,7 @@ pub mod protocol;
 pub mod server;
 pub mod slo;
 
-pub use batcher::{BatchPolicy, MicroBatcher, Pending};
+pub use batcher::{BatchPolicy, MicroBatcher, Pending, Rejected};
 pub use slo::{default_objectives, SloConfig};
 pub use client::{ClientError, GatewayClient, RetryPolicy};
 pub use protocol::{

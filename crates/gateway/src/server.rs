@@ -14,13 +14,16 @@
 //!   [`MicroBatcher`] (shedding with `OVERLOADED` when the bounded queue is
 //!   full), then blocks on its per-request reply channel and writes the
 //!   response frame;
-//! * the **dispatcher** sleeps until the batcher has a ready batch, drops
-//!   requests whose deadline expired while queued (`DEADLINE_EXCEEDED`,
-//!   enforced at dequeue time), and hands the rest to the
-//!   [`EngineBackend`] — one batch at a time, like a device: batch k+1 is
-//!   not formed while batch k is being scored, which is exactly what makes
-//!   micro-batching the throughput lever (`tests/batcher_props.rs` checks
-//!   the claim on a simulated clock).
+//! * the **dispatcher** sleeps while the pending queue is empty and takes
+//!   whatever is pending (up to `max_batch_size`) the moment it is not,
+//!   drops requests whose deadline expired while queued
+//!   (`DEADLINE_EXCEEDED`, enforced at dequeue time), and hands the rest to
+//!   the [`EngineBackend`] — one batch at a time, like a device. It is in
+//!   its wait loop exactly when the engine is idle, so an idle engine never
+//!   leaves a request waiting; requests accumulate only while batch k is
+//!   being scored and leave together as batch k+1, which is what makes
+//!   micro-batching the throughput lever under load
+//!   (`tests/batcher_props.rs` checks both claims on a simulated clock).
 //!   The backend is a supervised `stisan_serve::ReplicatedEngine`, whose
 //!   replica count is the scoring parallelism; scoring **cannot panic
 //!   the gateway** — failures come back as typed [`ServeFailure`]s that
@@ -50,12 +53,15 @@
 //!
 //! ## Shutdown sequence
 //!
-//! [`GatewayHandle::shutdown`] flips an atomic flag and wakes everyone.
-//! The accept loop stops accepting; connection handlers answer any *new*
-//! request with `SHUTTING_DOWN`; the dispatcher keeps emitting batches —
-//! partial ones immediately, no coalescing wait — until the pending queue
-//! is empty, so every admitted request is answered; then the scope joins
-//! and [`Gateway::serve`] returns the run's [`GatewayStats`].
+//! [`GatewayHandle::shutdown`] flips an atomic flag, closes the
+//! [`MicroBatcher`] under the queue lock and wakes the dispatcher. The
+//! accept loop stops accepting; a *new* request is answered
+//! `SHUTTING_DOWN` — by the handler's early flag check, or, if it raced
+//! past that, by its offer to the closed batcher, so admission and drain
+//! are decided under one lock; the dispatcher keeps emitting batches until
+//! the queue is closed **and** empty — a state no offer can leave — so
+//! every admitted request is answered; then the scope joins and
+//! [`Gateway::serve`] returns the run's [`GatewayStats`].
 
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -69,7 +75,7 @@ use stisan_data::{EvalInstance, Processed};
 use stisan_obs::{Outcome, Stage, TraceCtx, NO_REPLICA};
 use stisan_serve::{EngineBackend, Reloader};
 
-use crate::batcher::{BatchPolicy, MicroBatcher};
+use crate::batcher::{BatchPolicy, MicroBatcher, Rejected};
 use crate::protocol::{
     decode, decode_header, ErrorCode, ErrorFrame, Frame, Header, Request, Response, TraceEcho,
     Visit, HEADER_LEN, MAX_K,
@@ -85,7 +91,7 @@ const ACCEPT_IDLE: Duration = Duration::from_millis(5);
 /// Gateway configuration.
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
-    /// Micro-batching policy (batch bound, coalescing window, queue bound).
+    /// Micro-batching policy (batch bound, queue bound).
     pub batch: BatchPolicy,
     /// Longest a connection may sit without sending a byte (between frames
     /// or mid-frame) before it is closed.
@@ -232,6 +238,16 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Starts drain-then-stop. The batcher is closed under the queue lock,
+    /// so every offer is ordered against it (admitted and drained, or
+    /// rejected `Closed`), and the dispatcher — which checks and waits
+    /// under the same lock — cannot miss the wake-up.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        lock(&self.queue).close();
+        self.cv.notify_all();
+    }
+
     pub(crate) fn slo(&self) -> Option<&crate::slo::SloRuntime> {
         self.slo.as_deref()
     }
@@ -267,8 +283,7 @@ impl GatewayHandle {
     /// Signals drain-then-stop shutdown: no new connections or requests,
     /// every already-admitted request still gets its answer.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shared.begin_shutdown();
     }
 
     /// Live counter snapshot.
@@ -418,12 +433,11 @@ impl Gateway {
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
                         // Fatal accept error: begin drain rather than spin.
-                        shared.shutdown.store(true, Ordering::SeqCst);
+                        shared.begin_shutdown();
                         break;
                     }
                 }
             }
-            shared.cv.notify_all();
         });
         if let (Some(dir), Some(rec)) = (shared.flight_dir.as_ref(), stisan_obs::flight_recorder())
         {
@@ -490,32 +504,18 @@ fn reload_loop(shared: &Shared, reloader: &dyn Reloader, interval: Duration) {
     }
 }
 
-/// The dispatcher: sleeps until the batcher is ready, enforces deadlines at
-/// dequeue, scores the batch through the backend's panic boundary, replies.
+/// The dispatcher: sleeps while the queue is empty, takes what is pending,
+/// enforces deadlines at dequeue, scores the batch through the backend's
+/// panic boundary, replies. Exits once the batcher is closed and empty.
 fn dispatcher<B: EngineBackend>(shared: &Shared, backend: &B) {
     loop {
         let (batch, depth) = {
             let mut q = lock(&shared.queue);
-            loop {
-                if q.is_empty() && shared.is_shutdown() {
+            while q.is_empty() {
+                if q.is_closed() {
                     return;
                 }
-                let now = shared.now_us();
-                // During drain, partial batches go out immediately.
-                if q.ready(now) || (shared.is_shutdown() && !q.is_empty()) {
-                    break;
-                }
-                q = match q.next_deadline_us() {
-                    None => shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner),
-                    Some(d) => {
-                        let wait = Duration::from_micros(d.saturating_sub(now).max(1));
-                        shared
-                            .cv
-                            .wait_timeout(q, wait)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0
-                    }
-                };
+                q = shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
             (q.take(), q.len())
         };
@@ -672,6 +672,13 @@ fn send_error(stream: &mut TcpStream, code: ErrorCode, msg: impl Into<String>) {
     let _ = crate::protocol::write_frame(stream, &frame);
 }
 
+/// Refuses a request that arrived after drain began (`SHUTTING_DOWN`).
+fn reject_shutting_down(stream: &mut TcpStream, shared: &Shared, trace_id: u64) {
+    shared.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
+    stisan_obs::flight_event(trace_id, Stage::Admitted, Outcome::ShuttingDown);
+    send_error(stream, ErrorCode::ShuttingDown, "gateway is draining");
+}
+
 /// A stage stamp saturated into the response echo's `u32` µs field.
 fn stamp_u32(trace: &TraceCtx, stage: Stage) -> u32 {
     trace.get(stage).unwrap_or(0).min(u64::from(u32::MAX)) as u32
@@ -721,9 +728,7 @@ fn handle_conn(
             .unwrap_or_else(|| shared.next_trace.fetch_add(1, Ordering::Relaxed));
         let mut trace = TraceCtx::new(trace_id);
         if shared.is_shutdown() {
-            shared.stats.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-            stisan_obs::flight_event(trace_id, Stage::Admitted, Outcome::ShuttingDown);
-            send_error(&mut stream, ErrorCode::ShuttingDown, "gateway is draining");
+            reject_shutting_down(&mut stream, shared, trace_id);
             break;
         }
         let inst = match request_to_instance(data, &req) {
@@ -751,17 +756,26 @@ fn handle_conn(
             (q.offer(pending, now), q.len())
         };
         stisan_obs::gauge("gateway.queue_depth", depth as f64);
-        if admitted.is_err() {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            stisan_obs::counter("gateway.shed_total", 1);
-            stisan_obs::flight_event(trace_id, Stage::Enqueued, Outcome::Shed);
-            maybe_dump_first_shed(shared);
-            send_error(&mut stream, ErrorCode::Overloaded, "pending queue full");
-            continue;
+        match admitted {
+            Ok(()) => {}
+            Err(Rejected::Full(_)) => {
+                shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+                stisan_obs::counter("gateway.shed_total", 1);
+                stisan_obs::flight_event(trace_id, Stage::Enqueued, Outcome::Shed);
+                maybe_dump_first_shed(shared);
+                send_error(&mut stream, ErrorCode::Overloaded, "pending queue full");
+                continue;
+            }
+            // Shutdown began between the flag check above and the offer.
+            Err(Rejected::Closed(_)) => {
+                reject_shutting_down(&mut stream, shared, trace_id);
+                break;
+            }
         }
         shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
         stisan_obs::counter("gateway.requests_total", 1);
-        shared.cv.notify_all();
+        // The dispatcher is the condvar's only waiter.
+        shared.cv.notify_one();
         match rx.recv() {
             Ok(Reply::Ok(mut resp, mut trace, replica, epoch)) => {
                 trace.stamp(Stage::Written);

@@ -224,7 +224,7 @@ fn overload_sheds_with_typed_overloaded_frames() {
     let p = processed();
     let engine = serial_engine(Slow(Duration::from_millis(40)), &p, 5);
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 1 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 1 },
         ..quiet_cfg()
     };
     const CLIENTS: usize = 8;
@@ -269,7 +269,7 @@ fn queued_past_deadline_gets_deadline_exceeded() {
     let p = processed();
     let engine = serial_engine(Slow(Duration::from_millis(150)), &p, 5);
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 8 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 8 },
         ..quiet_cfg()
     };
     let stats = with_gateway(&engine, cfg, |handle| {
@@ -313,7 +313,7 @@ fn shutdown_drains_every_admitted_request() {
     let p = processed();
     let engine = serial_engine(Slow(Duration::from_millis(60)), &p, 5);
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 16 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 16 },
         ..quiet_cfg()
     };
     const CLIENTS: usize = 4;
@@ -446,7 +446,7 @@ fn trace_echo_roundtrips_with_monotonic_accounting_timings() {
     // inside the 5% accounting slack (4 ms).
     let engine = serial_engine(Slow(Duration::from_millis(80)), &p, 5);
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 8 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 8 },
         ..quiet_cfg()
     };
     let stats = with_gateway(&engine, cfg, |handle| {
@@ -552,7 +552,7 @@ fn overload_flood_writes_flight_dumps_with_shed_events() {
     let dir = std::env::temp_dir().join(format!("stisan-gw-flightrec-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 1 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 1 },
         flight_dir: Some(dir.clone()),
         ..quiet_cfg()
     };

@@ -115,7 +115,7 @@ fn overload_fires_availability_alert_dumps_flight_ring_and_resolves() {
     let _ = std::fs::remove_dir_all(&dump_dir);
 
     let cfg = GatewayConfig {
-        batch: BatchPolicy { max_batch_size: 1, max_wait_us: 0, queue_capacity: 2 },
+        batch: BatchPolicy { max_batch_size: 1, queue_capacity: 2 },
         admin: Some("127.0.0.1:0".parse().expect("admin addr")),
         flight_dir: Some(dump_dir.clone()),
         slo: Some(fast_slo()),

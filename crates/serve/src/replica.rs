@@ -5,10 +5,10 @@
 //!
 //! A [`ReplicatedEngine`] runs N logical replicas over one [`SharedModel`]
 //! (see `crate::reload`). Each batch is routed replica-by-replica on the
-//! *user id* (splitmix64 hash), scored in one thread per replica group, and
-//! every group thread wraps its work in `catch_unwind` — the **only
-//! sanctioned panic boundary in the serving stack**. A panicking scorer
-//! kills its replica, not the process:
+//! *user id* (splitmix64 hash) into one group per replica, and every group
+//! is scored inside `catch_unwind` — the **only sanctioned panic boundary
+//! in the serving stack**. A panicking scorer kills its replica, not the
+//! process:
 //!
 //! * instances the group finished before the panic keep their results;
 //! * unfinished instances are retried once on surviving replicas;
@@ -20,6 +20,23 @@
 //! backoff with deterministic splitmix jitter; each replica also carries a
 //! [`CircuitBreaker`] fed by panics and slow batches, so a replica that
 //! keeps failing is probed, not trusted.
+//!
+//! ## Threads and scratch
+//!
+//! The thread that calls `serve_outcomes` scores the first non-empty group
+//! itself; each further group gets a scoped thread for the duration of the
+//! call. A batch that routes to one replica — every batch of 1 — therefore
+//! spawns nothing, and a batch spanning G replicas spawns G − 1 threads.
+//! The retry pass and the fallback also run on the caller.
+//!
+//! Each replica owns one warm [`ServeScratch`] (tensor arena, candidate,
+//! score and top-K buffers) behind its own mutex — not the supervisor-state
+//! lock that `admit`/`tick`/`healthy_count` take. Whoever scores on a
+//! replica, group or retry, holds that lock for the duration, so the
+//! buffers survive across batches and reload epochs (they hold no model
+//! state) and concurrent callers take turns on a replica. A scorer that
+//! panics may leave the buffers half-written: the scratch is replaced by a
+//! fresh one before the lock is released.
 //!
 //! ## No torn reads
 //!
@@ -44,9 +61,11 @@ use stisan_obs::{Stage, TraceCtx};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::chaos::splitmix64;
-use crate::engine::{publish_retrieval_gauges, InferenceSession, Recommendation, ServeConfig};
+use crate::engine::{
+    publish_retrieval_gauges, InferenceSession, Recommendation, ServeConfig, ServeScratch,
+};
 use crate::fallback::FallbackScorer;
-use crate::reload::SharedModel;
+use crate::reload::{EpochModel, SharedModel};
 
 /// Sentinel replica id reported by degraded-mode (fallback) answers.
 pub const FALLBACK_REPLICA: u16 = u16::MAX;
@@ -160,7 +179,7 @@ struct ReplicaState {
     restart_attempts: u32,
 }
 
-/// Scratch shared with one replica group's scoring thread. The pending /
+/// State shared with whichever thread scores one replica group. The pending /
 /// done split is what makes panic recovery lossless: items still in
 /// `pending` after a panic are retried with their trace slots intact.
 struct GroupCtx<'i, 't> {
@@ -178,6 +197,8 @@ pub struct ReplicatedEngine<'d, M: FrozenScorer + Send + Sync> {
     model: SharedModel<M>,
     sup: SupervisorConfig,
     replicas: Vec<Mutex<ReplicaState>>,
+    /// One warm scratch per replica (see the module docs).
+    scratch: Vec<Mutex<ServeScratch>>,
     fallback: FallbackScorer,
     t0: Instant,
     health: Option<stisan_obs::HealthSignal>,
@@ -217,6 +238,7 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
             model,
             sup,
             replicas,
+            scratch: (0..sup.replicas).map(|_| Mutex::new(ServeScratch::new())).collect(),
             fallback,
             t0: Instant::now(),
             health: None,
@@ -336,6 +358,54 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
         }
     }
 
+    /// A session over `epoch`'s weights and its shared retrieval state:
+    /// replicas never rebuild the quadkey index or requantize the table.
+    fn session<'e>(&'e self, epoch: &'e EpochModel<M>) -> InferenceSession<'e, M> {
+        InferenceSession::with_retrieval(
+            &epoch.model,
+            self.data,
+            self.cfg,
+            epoch.retrieval.clone(),
+        )
+    }
+
+    /// Runs `f` on replica `r`'s warm scratch behind the panic boundary.
+    /// The panic is caught before the guard drops, so the lock is never
+    /// poisoned; the scratch a dead scorer was writing to is discarded.
+    fn with_scratch<R>(
+        &self,
+        r: usize,
+        f: impl FnOnce(&mut ServeScratch) -> R,
+    ) -> std::thread::Result<R> {
+        let mut scratch = plock(&self.scratch[r]);
+        let res = catch_unwind(AssertUnwindSafe(|| f(&mut scratch)));
+        if res.is_err() {
+            *scratch = ServeScratch::new();
+        }
+        res
+    }
+
+    /// Scores one replica group to exhaustion (or to its scorer's panic) on
+    /// the current thread.
+    fn score_group(&self, g: &GroupCtx, epoch: &EpochModel<M>) {
+        let t0 = Instant::now();
+        let session = self.session(epoch);
+        let res = self.with_scratch(g.replica as usize, |scratch| loop {
+            let item = plock(&g.pending).pop_front();
+            let Some((i, inst, mut tr)) = item else { break };
+            let mut rec = Recommendation::default();
+            session.serve_one_into(inst, scratch, &mut rec);
+            if let Some(t) = tr.as_mut() {
+                t.stamp(Stage::Scored);
+            }
+            plock(&g.done).push((i, rec));
+        });
+        if res.is_err() {
+            g.panicked.store(true, Ordering::SeqCst);
+        }
+        g.elapsed_us.store(t0.elapsed().as_micros() as u64, Ordering::SeqCst);
+    }
+
     /// Serves one request on the fallback scorer (cannot panic).
     fn serve_fallback(&self, inst: &EvalInstance, epoch: u64) -> ServedRec {
         let session = InferenceSession::new(&self.fallback, self.data, self.cfg);
@@ -350,8 +420,8 @@ impl<M: FrozenScorer + Send + Sync> EngineBackend for ReplicatedEngine<'_, M> {
         self.data
     }
 
-    /// Routes, scores, supervises (see the module docs): one thread per
-    /// replica group.
+    /// Routes, scores, supervises (see the module docs): the caller scores
+    /// one replica group, scoped threads the rest.
     fn serve_outcomes(
         &self,
         insts: &[EvalInstance],
@@ -395,43 +465,21 @@ impl<M: FrozenScorer + Send + Sync> EngineBackend for ReplicatedEngine<'_, M> {
             }
         }
 
-        // Score every non-empty group in its own thread behind the panic
-        // boundary. catch_unwind sits INSIDE the spawned thread: crossbeam
-        // would otherwise convert a child panic into a scope error and
-        // re-raise it on join.
+        // Score every non-empty group behind the panic boundary: the other
+        // groups on scoped threads (spawned first, so they overlap), one on
+        // this thread. `score_group` catches its scorer's panic itself, so
+        // the scope has nothing to re-raise on join.
         let active: Vec<&GroupCtx> =
             groups.iter().filter(|g| !plock(&g.pending).is_empty()).collect();
-        let scope_ok = crossbeam::thread::scope(|scope| {
-            for g in &active {
-                let epoch = &epoch;
-                scope.spawn(move |_| {
-                    let t0 = Instant::now();
-                    // Epoch-shared retrieval state: replicas never rebuild
-                    // the quadkey index or requantize the table per batch.
-                    let session = InferenceSession::with_retrieval(
-                        &epoch.model,
-                        self.data,
-                        self.cfg,
-                        epoch.retrieval.clone(),
-                    );
-                    let caught = catch_unwind(AssertUnwindSafe(|| loop {
-                        let item = plock(&g.pending).pop_front();
-                        let Some((i, inst, mut tr)) = item else { break };
-                        let rec = session.serve_one(inst);
-                        if let Some(t) = tr.as_mut() {
-                            t.stamp(Stage::Scored);
-                        }
-                        plock(&g.done).push((i, rec));
-                    }));
-                    if caught.is_err() {
-                        g.panicked.store(true, Ordering::SeqCst);
-                    }
-                    g.elapsed_us.store(t0.elapsed().as_micros() as u64, Ordering::SeqCst);
-                });
-            }
-        })
-        .is_ok();
-        debug_assert!(scope_ok, "group panics are caught inside the threads");
+        if let Some((inline, spawned)) = active.split_first() {
+            std::thread::scope(|scope| {
+                for &g in spawned {
+                    let epoch = &*epoch;
+                    scope.spawn(move || self.score_group(g, epoch));
+                }
+                self.score_group(inline, &epoch);
+            });
+        }
         drop(active);
 
         // Harvest: successes, then supervision for panicked groups.
@@ -480,14 +528,11 @@ impl<M: FrozenScorer + Send + Sync> EngineBackend for ReplicatedEngine<'_, M> {
                 if r as u16 == from || !self.admit(r) {
                     continue;
                 }
-                let session = InferenceSession::with_retrieval(
-                    &epoch.model,
-                    self.data,
-                    self.cfg,
-                    epoch.retrieval.clone(),
-                );
-                match catch_unwind(AssertUnwindSafe(|| session.serve_one(inst))) {
-                    Ok(rec) => {
+                let session = self.session(&epoch);
+                let mut rec = Recommendation::default();
+                match self.with_scratch(r, |scratch| session.serve_one_into(inst, scratch, &mut rec))
+                {
+                    Ok(()) => {
                         if let Some(t) = tr.as_mut() {
                             t.stamp(Stage::Scored);
                         }
@@ -593,6 +638,151 @@ mod tests {
                 assert!(t.is_monotonic(), "replicas={replicas}");
             }
         }
+    }
+
+    /// A `WeightedPrior` that records which thread scored each user and
+    /// draws one buffer from the arena per call, so a warm replica scratch
+    /// is distinguishable from a fresh one by its arena statistics.
+    struct Probe {
+        inner: WeightedPrior,
+        seen: Mutex<Vec<(u32, std::thread::ThreadId)>>,
+    }
+
+    impl Probe {
+        fn new(num_pois: usize) -> Self {
+            Probe { inner: WeightedPrior::seeded(num_pois, 3), seen: Mutex::new(Vec::new()) }
+        }
+    }
+
+    impl stisan_eval::Recommender for Probe {
+        fn name(&self) -> String {
+            "probe".into()
+        }
+        fn score(&self, data: &Processed, inst: &EvalInstance, c: &[u32]) -> Vec<f32> {
+            self.inner.score(data, inst, c)
+        }
+    }
+
+    impl FrozenScorer for Probe {
+        fn score_frozen(&self, data: &Processed, inst: &EvalInstance, c: &[u32]) -> Vec<f32> {
+            self.inner.score_frozen(data, inst, c)
+        }
+        fn score_frozen_into(
+            &self,
+            data: &Processed,
+            inst: &EvalInstance,
+            c: &[u32],
+            arena: &mut stisan_tensor::Arena,
+            out: &mut Vec<f32>,
+        ) {
+            plock(&self.seen).push((inst.user, std::thread::current().id()));
+            let buf = arena.take(c.len());
+            arena.recycle(buf);
+            self.inner.score_frozen_into(data, inst, c, arena, out);
+        }
+    }
+
+    /// Thread spawns, as counts: a batch routed to one replica is scored on
+    /// the caller's thread (0 spawns); of a batch spanning two replicas
+    /// exactly one group is (G − 1 = 1 spawn). Answers stay bit-equal to the
+    /// single-session reference either way.
+    #[test]
+    fn caller_scores_one_group_and_spawns_only_for_the_rest() {
+        let p = processed();
+        let prior = WeightedPrior::seeded(p.num_pois, 3);
+        let direct = InferenceSession::new(&prior, &p, ServeConfig::default());
+        let eng = ReplicatedEngine::new(
+            SharedModel::new(Probe::new(p.num_pois), 1),
+            &p,
+            ServeConfig::default(),
+            sup(2),
+        );
+        let me = std::thread::current().id();
+        let serve = |insts: &[EvalInstance]| {
+            plock(&eng.model.current().model.seen).clear();
+            let mut traces: Vec<TraceCtx> =
+                (0..insts.len()).map(|i| TraceCtx::new(i as u64)).collect();
+            let outs = eng.serve_outcomes(insts, 0, &mut traces);
+            for (inst, out) in insts.iter().zip(outs) {
+                let served = out.expect("healthy pool must answer");
+                assert_eq!(served.replica as usize, eng.primary_for(inst.user));
+                assert_eq!(served.rec.items, direct.serve_one(inst).items);
+            }
+            plock(&eng.model.current().model.seen).clone()
+        };
+
+        let on_zero: Vec<EvalInstance> =
+            p.eval.iter().filter(|i| eng.primary_for(i.user) == 0).cloned().collect();
+        assert!(!on_zero.is_empty() && on_zero.len() < p.eval.len(), "users span both replicas");
+        let seen = serve(&on_zero);
+        assert_eq!(seen.len(), on_zero.len());
+        assert!(seen.iter().all(|&(_, t)| t == me), "a one-replica batch must not leave the caller");
+
+        let seen = serve(&p.eval);
+        assert_eq!(seen.len(), p.eval.len());
+        // Each replica's group ran on one thread; exactly one of the two
+        // groups ran on the caller's.
+        let threads_of = |r: usize| -> std::collections::HashSet<std::thread::ThreadId> {
+            seen.iter().filter(|&&(u, _)| eng.primary_for(u) == r).map(|&(_, t)| t).collect()
+        };
+        let (t0, t1) = (threads_of(0), threads_of(1));
+        assert_eq!((t0.len(), t1.len()), (1, 1), "one thread per group");
+        assert_ne!(t0, t1, "two groups must not share a thread");
+        assert_eq!(
+            [&t0, &t1].iter().filter(|t| t.contains(&me)).count(),
+            1,
+            "exactly one group on the caller's thread"
+        );
+    }
+
+    /// A scorer panic on the inline (caller-runs) path is contained like one
+    /// on a spawned thread, and the dead replica's scratch is replaced.
+    #[test]
+    fn inline_panic_is_contained_and_resets_the_scratch() {
+        let p = processed();
+        crate::chaos::silence_chaos_panics();
+        let prior = WeightedPrior::seeded(p.num_pois, 3);
+        let direct = InferenceSession::new(&prior, &p, ServeConfig::default());
+        let plan = ChaosPlan::new();
+        let scorer = ChaosScorer::new(Probe::new(p.num_pois), plan.clone());
+        let cfg = SupervisorConfig { restart_base_us: 1, restart_max_us: 2, ..sup(2) };
+        let eng = ReplicatedEngine::new(SharedModel::new(scorer, 1), &p, ServeConfig::default(), cfg);
+        let inst = &p.eval[0];
+        let home = eng.primary_for(inst.user);
+        let mut tr = vec![TraceCtx::new(0)];
+        let warm_stats = |r: usize| plock(&eng.scratch[r]).arena_stats();
+
+        // Warm the home replica's scratch, then kill its scorer mid-request:
+        // a batch of 1 is one group, so the panic fires on this very thread.
+        let served = eng.serve_outcomes(std::slice::from_ref(inst), 0, &mut tr).remove(0);
+        assert_eq!(served.expect("healthy").replica as usize, home);
+        assert_ne!(warm_stats(home), stisan_tensor::ArenaStats::default(), "scratch is warm");
+        plan.arm_panic(1);
+        let served = eng
+            .serve_outcomes(std::slice::from_ref(inst), 0, &mut tr)
+            .remove(0)
+            .expect("the survivor answers the retried request");
+        assert!(!served.degraded);
+        assert_eq!(served.replica as usize, 1 - home, "retried on the other replica");
+        assert_eq!(served.rec.items, direct.serve_one(inst).items);
+        assert_eq!(eng.healthy_count(), 1, "the panicking replica is down");
+        assert_eq!(
+            warm_stats(home),
+            stisan_tensor::ArenaStats::default(),
+            "the buffers the dead scorer was writing to are gone"
+        );
+
+        // Revived, the replica serves from its fresh scratch, bit-equal to
+        // a fresh session.
+        while eng.healthy_count() < 2 {
+            eng.tick();
+        }
+        let served = eng
+            .serve_outcomes(std::slice::from_ref(inst), 0, &mut tr)
+            .remove(0)
+            .expect("revived replica answers");
+        assert_eq!(served.replica as usize, home);
+        assert_eq!(served.rec.items, direct.serve_one(inst).items);
     }
 
     #[test]

@@ -14,13 +14,22 @@
 //! the gateway ships: every counter and histogram on the serve path records
 //! for real, and a registry call on a name it has already seen allocates
 //! nothing.
+//!
+//! A third gate holds the supervised path to a constant: one warm batch of
+//! one through [`ReplicatedEngine::serve_outcomes`] — what the gateway
+//! dispatcher calls per request at low load — allocates only its routing
+//! and result bookkeeping, independent of the candidate count.
 
 use std::sync::Mutex;
 
 use stisan_data::{generate, preprocess, DatasetPreset, EvalInstance, GenConfig, PrepConfig,
                   Processed};
 use stisan_eval::{FrozenScorer, Recommender};
-use stisan_serve::{InferenceSession, Recommendation, ServeConfig};
+use stisan_obs::TraceCtx;
+use stisan_serve::{
+    EngineBackend, InferenceSession, Recommendation, ReplicatedEngine, ServeConfig, SharedModel,
+    SupervisorConfig,
+};
 use stisan_tensor::{Arena, Array, Exec, NoGrad};
 
 use rand::rngs::StdRng;
@@ -30,9 +39,13 @@ use rand::SeedableRng;
 static ALLOC: stisan_obs::alloc::CountingAlloc = stisan_obs::alloc::CountingAlloc::system();
 
 fn processed() -> Processed {
+    processed_with(160)
+}
+
+fn processed_with(pois: usize) -> Processed {
     let cfg = GenConfig {
         users: 25,
-        pois: 160,
+        pois,
         mean_seq_len: 28.0,
         ..DatasetPreset::Gowalla.config(0.01)
     };
@@ -215,6 +228,56 @@ fn warm_stisan_serving_is_allocation_free() {
     session.serve_one_into(p.eval.last().expect("non-empty"), &mut scratch, &mut rec);
     assert_eq!(rec.items, baseline_items, "steady-state results drifted");
     session.checkin_scratch(scratch);
+}
+
+/// Allocations one warm batch-of-1 `serve_outcomes` call may make: the
+/// routing vectors, one group's queues, the outcome vector and the returned
+/// item list. No thread is spawned for a one-group batch and the replica's
+/// scratch is warm, so nothing here scales with the catalogue.
+const REPLICATED_BATCH1_ALLOCS: u64 = 12;
+
+/// The supervised path's gate: a warm batch of 1 runs entirely on the
+/// caller's thread (so the thread-local counters see all of it) and costs
+/// the same small number of allocations whether it scores 160 candidates or
+/// 640.
+#[test]
+fn warm_replicated_batch_of_one_allocates_a_small_constant() {
+    stisan_obs::init();
+    let per_call = |pois: usize| -> u64 {
+        let p = processed_with(pois);
+        let m = GateScorer::new(p.num_pois, 16, 7);
+        let engine = ReplicatedEngine::new(
+            SharedModel::new(m, 1),
+            &p,
+            ServeConfig::default(),
+            SupervisorConfig::default(),
+        );
+        let mut traces = [TraceCtx::new(1)];
+        let mut serve_all = || {
+            for inst in &p.eval {
+                let out = engine.serve_outcomes(std::slice::from_ref(inst), 0, &mut traces);
+                assert_eq!(out[0].as_ref().expect("healthy pool").rec.scored, p.num_pois);
+            }
+        };
+        for _ in 0..3 {
+            serve_all();
+        }
+        stisan_obs::alloc::enable();
+        assert!(stisan_obs::alloc::active(), "counting allocator is not active");
+        let a0 = stisan_obs::alloc::thread_stats().allocs;
+        serve_all();
+        let calls = p.eval.len() as u64;
+        let allocs = stisan_obs::alloc::thread_stats().allocs - a0;
+        assert_eq!(allocs % calls, 0, "{allocs} allocations over {calls} identical calls");
+        allocs / calls
+    };
+    let (small, large) = (per_call(160), per_call(640));
+    assert_eq!(small, large, "allocations grew with the candidate count");
+    assert!(
+        (1..=REPLICATED_BATCH1_ALLOCS).contains(&small),
+        "a warm batch of 1 made {small} allocations (gate {REPLICATED_BATCH1_ALLOCS})"
+    );
+    println!("warm batch-of-1 serve_outcomes: {small} allocations per call");
 }
 
 /// The gate model itself honors the `score_frozen_into` contract: warm and

@@ -356,7 +356,7 @@ impl Array {
     /// Batched matrix product `[b,m,k] x [b,k,n] -> [b,m,n]`.
     ///
     /// Large batches (beyond [`BMM_PARALLEL_FLOPS`] multiply-adds) fan out
-    /// across threads with crossbeam scoped threads; per-slice results are
+    /// across scoped threads; per-slice results are
     /// identical to the sequential path because each thread owns a disjoint
     /// output slice.
     pub fn bmm(&self, other: &Array) -> Array {

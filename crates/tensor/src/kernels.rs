@@ -195,7 +195,7 @@ fn bmm_threads(b: usize, m: usize, k: usize, n: usize) -> usize {
 /// Batched `out = a × b` for `[b,m,k] × [b,k,n]` (set semantics).
 ///
 /// Large batches (beyond [`BMM_PARALLEL_FLOPS`] multiply-adds) fan out
-/// across crossbeam scoped threads; per-slice results are identical to the
+/// across scoped threads; per-slice results are identical to the
 /// sequential path because each thread owns a disjoint output slice.
 pub fn bmm_into(a: &[f32], b: &[f32], out: &mut [f32], bsz: usize, m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), bsz * m * k);
@@ -215,10 +215,11 @@ pub fn bmm_into(a: &[f32], b: &[f32], out: &mut [f32], bsz: usize, m: usize, k: 
         }
     } else {
         let chunk = bsz.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        // A panicking worker propagates out of the scope on join.
+        std::thread::scope(|scope| {
             for (ci, out_chunk) in out.chunks_mut(chunk * m * n).enumerate() {
                 let start = ci * chunk;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (j, o) in out_chunk.chunks_mut(m * n).enumerate() {
                         let i = start + j;
                         matmul_into(
@@ -232,8 +233,7 @@ pub fn bmm_into(a: &[f32], b: &[f32], out: &mut [f32], bsz: usize, m: usize, k: 
                     }
                 });
             }
-        })
-        .expect("bmm worker panicked");
+        });
     }
 }
 

@@ -178,7 +178,7 @@ proptest! {
 }
 
 /// A deterministic large case that crosses both the 64-wide column-panel
-/// boundary (ragged tail) and `BMM_PARALLEL_FLOPS` (the crossbeam fan-out
+/// boundary (ragged tail) and `BMM_PARALLEL_FLOPS` (the scoped-thread fan-out
 /// path), proving the threaded split is bitwise-invisible.
 #[test]
 fn large_bmm_parallel_path_matches_naive() {
