@@ -14,8 +14,8 @@ use stisan_eval::{FrozenScorer, Recommender};
 use stisan_geo::quadkey::tokens_for;
 use stisan_geo::{GeoEncoder, GeoPoint};
 use stisan_models::common::{
-    check_finite_step, epoch_rng, interleave_candidates, taad_eval_mask_into, taad_scores,
-    taad_train_mask, SeqBatch, StepOutcome, TrainConfig,
+    check_finite_step, epoch_rng, interleave_candidates, taad_eval_mask_into, taad_train_mask,
+    SeqBatch, StepOutcome, TrainConfig,
 };
 use stisan_nn::{
     sinusoidal_encoding_into, tape_positions_into, weighted_bce_loss, Adam, CheckpointError,
@@ -630,10 +630,10 @@ impl StiSan {
         if self.cfg.use_taad {
             let c = sess.g.reshape(c, &[1, m, d]);
             // Arena-backed; fully written, consumed (and recycled) by the
-            // `add_const` inside `taad_scores`.
+            // decoder (`Exec::taad_scores`).
             let mut mask = sess.g.scratch_array(&[1, m, n]);
             taad_eval_mask_into(m, n, batch.valid_from[0], mask.data_mut());
-            taad_scores(sess, f, c, mask)
+            sess.g.taad_scores(f, c, mask)
         } else {
             let h_last = sess.g.slice_axis1(f, n - 1);
             let c = sess.g.reshape(c, &[1, m, d]);
@@ -787,7 +787,7 @@ impl StiSan {
             let y = if self.cfg.use_taad {
                 let c = sess.g.reshape(c, &[b, n * (l + 1), d]);
                 let mask = taad_train_mask(b, n, l + 1, &batch.valid_from);
-                let y = taad_scores(&mut sess, f, c, mask);
+                let y = sess.g.taad_scores(f, c, mask);
                 sess.g.reshape(y, &[b, n, l + 1])
             } else {
                 // Variant V (Eq 17): match F_i with candidates directly.

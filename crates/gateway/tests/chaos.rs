@@ -12,7 +12,7 @@
 //!   `catch_unwind` boundary, corrupt checkpoints are quarantined, and the
 //!   gateway drains and joins cleanly at the end.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -122,31 +122,25 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
     let answered: Mutex<Vec<(usize, Vec<(u32, f32)>)>> = Mutex::new(Vec::new());
     let typed_errors = Mutex::new(Vec::<String>::new());
     let unanswered = Mutex::new(0usize);
-    let flood_done = AtomicBool::new(false);
+    let sent = AtomicUsize::new(0);
+    let script_done = AtomicBool::new(false);
 
     let stats = thread::scope(|s| {
         let server = s.spawn(|| {
             gw.serve_reloading(&eng, &watcher, Duration::from_millis(2)).expect("serve")
         });
 
-        // Chaos driver: kill replicas and churn checkpoints until the
-        // flood finishes.
-        s.spawn(|| {
+        // Chaos script: kill replicas and churn checkpoints, wave by wave.
+        // The flood below outlasts the script, so every reload happens
+        // under load.
+        let chaos = s.spawn(|| {
             plan.set_delay_us(150); // widen the race windows
-            let mut epoch_published = 0u64;
-            let mut wave = 0u64;
-            // Run the checkpoint script to completion even if the flood
-            // drains early — the final-epoch assertion depends on wave 8.
-            while !flood_done.load(Ordering::SeqCst) || wave < 9 {
-                wave += 1;
-                if !flood_done.load(Ordering::SeqCst) {
-                    plan.arm_panic(1 + wave % 3); // kill a replica mid-batch
-                }
+            for wave in 1..=9u64 {
+                plan.arm_panic(1 + wave % 3); // kill a replica mid-batch
                 match wave {
                     2 => {
                         // good epoch 1
                         WeightedPrior::seeded(num_pois, epoch_seed(1)).save(&mgr, 1).unwrap();
-                        epoch_published = 1;
                     }
                     4 => {
                         // epoch 2: pure garbage at a checkpoint path — the
@@ -162,23 +156,25 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
                     8 => {
                         // good epoch 4: the fleet must land here.
                         WeightedPrior::seeded(num_pois, epoch_seed(4)).save(&mgr, 4).unwrap();
-                        epoch_published = 4;
                     }
                     _ => {}
                 }
                 thread::sleep(Duration::from_millis(8));
             }
-            let _ = epoch_published;
             plan.set_delay_us(0);
+            script_done.store(true, Ordering::SeqCst);
         });
 
         // The flood: CLIENTS threads, each cycling the instance set with
-        // retries on transient failures.
-        let flood = thread::scope(|f| {
+        // retries on transient failures, for at least ROUNDS rounds and
+        // until the chaos script has finished.
+        thread::scope(|f| {
             for c in 0..CLIENTS {
                 let answered = &answered;
                 let typed_errors = &typed_errors;
                 let unanswered = &unanswered;
+                let sent = &sent;
+                let script_done = &script_done;
                 let p = &p;
                 f.spawn(move || {
                     let policy = RetryPolicy {
@@ -190,9 +186,11 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
                     };
                     let mut client = GatewayClient::connect(addr).expect("client connect");
                     client.set_timeout(Some(Duration::from_secs(5))).expect("timeout");
-                    for r in 0..ROUNDS {
+                    let mut r = 0;
+                    while r < ROUNDS || !script_done.load(Ordering::SeqCst) {
                         let idx = (c + r * CLIENTS) % n_inst;
                         let req = request_from_instance(&p, &insts[idx], k, 0);
+                        sent.fetch_add(1, Ordering::SeqCst);
                         match client.recommend_retrying(&req, &policy) {
                             Ok((resp, _attempts)) => {
                                 answered.lock().unwrap().push((idx, resp.items));
@@ -205,23 +203,20 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
                                 eprintln!("chaos client {c} round {r}: unanswered: {e}");
                             }
                         }
+                        r += 1;
                     }
                 });
             }
         });
-        let _ = flood;
-        flood_done.store(true, Ordering::SeqCst);
+        // The flood only stops once the script is done; joining its thread
+        // keeps the landing loop below from ever running beside it.
+        chaos.join().expect("the chaos script must not panic");
 
         // Let the watcher land the final epoch before shutdown, so the
         // reload pipeline is proven end-to-end. A leftover armed panic can
         // fire inside the canary and quarantine the *good* epoch (the gate
         // correctly refuses a candidate that panics while scoring) — so
         // disarm the chaos and re-publish, exactly as an operator would.
-        // The chaos driver above is still running its script to wave 9, so
-        // this save can overlap its wave-6/8 saves through the same `mgr`:
-        // two threads, one directory. `CheckpointManager::save` serialises
-        // them: unserialised, one save's staging sweep deletes the other's
-        // in-flight `.tmp` and the `unwrap` below sees `NotFound`.
         plan.disarm();
         let t0 = Instant::now();
         while shared.epoch() != last_good_epoch && t0.elapsed() < Duration::from_secs(3) {
@@ -240,7 +235,9 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
     let typed_errors = typed_errors.into_inner().unwrap();
     let unanswered = unanswered.into_inner().unwrap();
     let total = answered.len() + typed_errors.len() + unanswered;
-    assert_eq!(total, CLIENTS * ROUNDS, "every request must be accounted for");
+    let sent = sent.into_inner();
+    assert!(sent >= CLIENTS * ROUNDS, "the flood stopped early: {sent} requests");
+    assert_eq!(total, sent, "every request must be accounted for");
     let typed = answered.len() + typed_errors.len();
     assert!(
         typed as f64 >= 0.99 * total as f64,

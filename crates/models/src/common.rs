@@ -356,35 +356,6 @@ pub fn dot_scores<E: stisan_tensor::Exec>(
     sess.g.reshape(y, &[b, n, l1])
 }
 
-/// Target-aware attention decoding (GeoSAN's decoder, STiSAN's TAAD, Eq 10):
-/// each candidate representation attends over the sequence representations it
-/// may legally see and is scored by the inner product with its attended
-/// summary.
-///
-/// * `f`: `[b, n, d]` encoder output;
-/// * `c`: `[b, m, d]` candidate representations (`m` = candidates per
-///   sequence — `n*(1+l)` at train time, the 101 ranked POIs at eval);
-/// * `mask`: `[b, m, n]` additive mask (`0` where candidate row may attend,
-///   `-1e9` elsewhere — the paper's leakage prevention).
-///
-/// Returns `[b, m]` preference scores `y = (Attn(C, F, F)) · C` (Eq 11).
-pub fn taad_scores<E: stisan_tensor::Exec>(
-    sess: &mut stisan_nn::Session<'_, E>,
-    f: stisan_tensor::Var,
-    c: stisan_tensor::Var,
-    mask: Array,
-) -> stisan_tensor::Var {
-    let d = *sess.g.value(f).shape().last().expect("taad_scores: scalar f");
-    let ft = sess.g.transpose_last2(f);
-    let logits = sess.g.bmm(c, ft); // [b, m, n]
-    let logits = sess.g.scale(logits, 1.0 / (d as f32).sqrt());
-    let logits = sess.g.add_const(logits, mask);
-    let w = sess.g.softmax_last(logits);
-    let s = sess.g.bmm(w, f); // [b, m, d]
-    let prod = sess.g.mul(s, c);
-    sess.g.sum_last(prod) // [b, m]
-}
-
 /// TAAD mask for training: candidate row `(step i, slot l)` may attend
 /// positions `valid_from ..= i`. Shape `[b, n*(1+l), n]`.
 pub fn taad_train_mask(b: usize, n: usize, l1: usize, valid_from: &[usize]) -> Array {
@@ -597,8 +568,8 @@ mod tests {
 
     #[test]
     fn taad_scores_match_hand_computation() {
-        use crate::common::taad_scores;
         use stisan_nn::{ParamStore, Session};
+        use stisan_tensor::Exec;
         // One position, one candidate: attention collapses to that position,
         // so the score is exactly c · f.
         let store = ParamStore::new();
@@ -606,7 +577,7 @@ mod tests {
         let f = sess.constant(Array::from_vec(vec![1, 1, 2], vec![2.0, 3.0]));
         let c = sess.constant(Array::from_vec(vec![1, 1, 2], vec![0.5, 1.0]));
         let mask = Array::zeros(vec![1, 1, 1]);
-        let y = taad_scores(&mut sess, f, c, mask);
+        let y = sess.g.taad_scores(f, c, mask);
         assert!((sess.g.value(y).item() - (2.0 * 0.5 + 3.0 * 1.0)).abs() < 1e-5);
     }
 }

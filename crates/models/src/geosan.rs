@@ -21,11 +21,10 @@ use stisan_nn::{
     causal_mask, padding_row_mask, sinusoidal_encoding, vanilla_positions, weighted_bce_loss,
     Adam, Embedding, LayerNorm, ParamStore, Session,
 };
-use stisan_tensor::{Array, Var};
+use stisan_tensor::{Array, Exec, Var};
 
 use crate::common::{
-    interleave_candidates, taad_eval_mask, taad_scores, taad_train_mask, EncoderBlock, SeqBatch,
-    TrainConfig,
+    interleave_candidates, taad_eval_mask, taad_train_mask, EncoderBlock, SeqBatch, TrainConfig,
 };
 
 /// Quadkey zoom level for the geography encoder.
@@ -145,7 +144,7 @@ impl GeoSan {
                 let c = self.embed(&mut sess, &cand_ids);
                 let c = sess.g.reshape(c, &[b, n * (l + 1), self.cfg.dim]);
                 let mask = taad_train_mask(b, n, l + 1, &batch.valid_from);
-                let y = taad_scores(&mut sess, f, c, mask); // [b, n*(1+l)]
+                let y = sess.g.taad_scores(f, c, mask); // [b, n*(1+l)]
                 let y = sess.g.reshape(y, &[b, n, l + 1]);
                 let pos = sess.g.slice_last(y, 0, 1);
                 let pos = sess.g.reshape(pos, &[b, n]);
@@ -179,7 +178,7 @@ impl Recommender for GeoSan {
         let c = self.embed(&mut sess, &ids);
         let c = sess.g.reshape(c, &[1, ids.len(), self.cfg.dim]);
         let mask = taad_eval_mask(ids.len(), batch.n, batch.valid_from[0]);
-        let y = taad_scores(&mut sess, f, c, mask);
+        let y = sess.g.taad_scores(f, c, mask);
         sess.g.value(y).data().to_vec()
     }
 }

@@ -14,7 +14,8 @@
 //!
 //! **Parity guarantee.** Every `Exec` method on both backends routes through
 //! the same [`kernels`](crate::kernels) functions with the same per-element
-//! arithmetic in the same order, so a forward pass produces bit-identical
+//! arithmetic in the same order (the one fused op, [`Exec::taad_scores`],
+//! runs those kernels panel by panel), so a forward pass produces bit-identical
 //! `f32` values on either backend (asserted end-to-end by
 //! `crates/serve/tests/parity.rs`), and the arena path is bit-identical to
 //! the fresh-alloc path because the `_into` kernels have set semantics —
@@ -33,8 +34,9 @@ use crate::shape::Shape;
 
 /// The closed op-constructor surface a model forward pass needs.
 ///
-/// Methods mirror the inherent constructors of [`Graph`] one-for-one; see
-/// those for per-op semantics. Layers and models written against
+/// Methods mirror the inherent constructors of [`Graph`] one-for-one (the
+/// provided [`Exec::taad_scores`] is a composition of them); see those for
+/// per-op semantics. Layers and models written against
 /// `&mut Session<'_, E>` (with `E: Exec`) run unchanged on the tape or on
 /// [`NoGrad`].
 pub trait Exec {
@@ -127,6 +129,31 @@ pub trait Exec {
     fn slice_axis1(&mut self, v: Var, idx: usize) -> Var;
     /// Sliding-window unfold over axis 1: `[b,n,d] -> [b, n-w+1, w*d]`.
     fn unfold1(&mut self, v: Var, width: usize) -> Var;
+
+    /// Target-aware attention decoding (GeoSAN's decoder, STiSAN's TAAD,
+    /// paper Eq 10–11): each candidate attends over the sequence positions
+    /// it may see and is scored by the inner product with its attended
+    /// summary, `y = Attn(C, F, F) · C`.
+    ///
+    /// * `f`: `[b, n, d]` encoder output;
+    /// * `c`: `[b, m, d]` candidate representations;
+    /// * `mask`: `[b, m, n]` additive mask (`0` where a candidate may
+    ///   attend, `-1e9` elsewhere).
+    ///
+    /// Returns `[b, m]` scores. This composition is what the tape records
+    /// (and differentiates); [`NoGrad`] overrides it with the fused
+    /// [`kernels::taad_scores_into`], which is bit-identical to it.
+    fn taad_scores(&mut self, f: Var, c: Var, mask: Array) -> Var {
+        let d = self.value(f).shape()[2];
+        let ft = self.transpose_last2(f);
+        let logits = self.bmm(c, ft); // [b, m, n]
+        let logits = self.scale(logits, 1.0 / (d as f32).sqrt());
+        let logits = self.add_const(logits, mask);
+        let w = self.softmax_last(logits);
+        let s = self.bmm(w, f); // [b, m, d]
+        let prod = self.mul(s, c);
+        self.sum_last(prod) // [b, m]
+    }
 
     /// A free-standing scratch array for building per-request constants
     /// (masks, positional matrices, interval biases) that will be fed back
@@ -843,6 +870,36 @@ impl Exec for NoGrad {
         kernels::unfold1_into(self.value(v).data(), buf_mut(&mut buf), b, n, d, width);
         drop(g);
         self.push(Array::from_arc(Shape::of(&[b, windows, width * d]), buf))
+    }
+    fn taad_scores(&mut self, f: Var, c: Var, mask: Array) -> Var {
+        let (b, m, n, d) = {
+            let (fv, cv) = (self.value(f), self.value(c));
+            assert_eq!(fv.ndim(), 3, "taad_scores: f must be [b, n, d], got {:?}", fv.shape());
+            let (b, n, d) = (fv.shape()[0], fv.shape()[1], fv.shape()[2]);
+            let m = cv.shape().get(1).copied().unwrap_or(0);
+            assert_eq!(cv.shape(), &[b, m, d], "taad_scores: c must be [b, m, d]");
+            assert_eq!(mask.shape(), &[b, m, n], "taad_scores: mask must be [b, m, n]");
+            (b, m, n, d)
+        };
+        let fl = if self.prof { kernels::taad_flops(b, m, n, d) } else { 0 };
+        let g = self.guard("taad", fl);
+        let mut scratch = self.arena.take(kernels::taad_scratch_len(n, d));
+        let mut buf = self.arena.take(b * m);
+        kernels::taad_scores_into(
+            self.value(f).data(),
+            self.value(c).data(),
+            mask.data(),
+            buf_mut(&mut buf),
+            buf_mut(&mut scratch),
+            b,
+            m,
+            n,
+            d,
+        );
+        drop(g);
+        self.arena.recycle(scratch);
+        self.arena.recycle(mask.into_data());
+        self.push(Array::from_arc(Shape::of(&[b, m]), buf))
     }
     fn scratch_array(&mut self, shape: &[usize]) -> Array {
         let sh = Shape::of(shape);

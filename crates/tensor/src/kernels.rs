@@ -20,15 +20,23 @@
 //!
 //! # Blocking and the bit-parity policy
 //!
-//! [`matmul_into`] is cache-blocked: the output row is split into panels of
-//! [`MM_JB`] columns accumulated in a stack register block, so the inner loop
-//! autovectorizes and the output is written exactly once. The naive reference
-//! implementations live in [`naive`] and are property-tested against the
-//! blocked kernels in `crates/tensor/tests/kernel_diff.rs`. The blocking
-//! never reassociates floating-point addition: for every output element the
-//! reduction over `k` runs in the same ascending order, with the same
-//! skip-on-zero, as the naive triple loop — so blocked and naive results are
-//! **bit-identical**, not merely close (see DESIGN.md §14).
+//! [`matmul_into`] is one body for every output width. Each column panel of
+//! at most [`MM_JB`] outputs runs a const-generic kernel that keeps a few
+//! rows' accumulators in 8-lane register vectors for the whole reduction.
+//! That body is compiled twice, for the baseline target and with AVX2, and
+//! the CPU picks the arm at run time ([`matmul_arm`]). Neither arm
+//! reassociates or fuses floating-point operations: for every output
+//! element the reduction over `k` runs in the naive triple loop's ascending
+//! order, from `0.0`, with the same skip-on-zero and one rounding per
+//! multiply and per add (AVX2 enables no FMA, and Rust never contracts). So
+//! both arms are **bit-identical** to the naive loop, not merely close.
+//!
+//! [`taad_scores_into`] fuses the target-aware decoder the same way: it runs
+//! the unfused composition's kernels panel by panel, so its scores are the
+//! composition's bits. The naive references live in [`naive`];
+//! `crates/tensor/tests/kernel_diff.rs` checks every production kernel (both
+//! matmul arms) against them, and the fused decoder against the composition
+//! (DESIGN.md §14).
 
 use crate::array::{suggested_workers, Array};
 use crate::broadcast::BroadcastIter;
@@ -37,9 +45,9 @@ use crate::broadcast::BroadcastIter;
 /// dimension.
 pub const BMM_PARALLEL_FLOPS: usize = 4_000_000;
 
-/// Column-panel width of the blocked [`matmul_into`]: the per-row accumulator
-/// block is `MM_JB` floats (256 bytes — four AVX2 registers' worth), written
-/// back to the output exactly once per panel.
+/// Column-panel width of [`matmul_into`]: a row's accumulators for one panel
+/// are at most `MM_JB` floats (eight AVX2 registers), written back to the
+/// output exactly once per panel.
 pub const MM_JB: usize = 64;
 
 /// Numerically stable logistic sigmoid.
@@ -123,63 +131,181 @@ pub fn zip_into(
 
 /// `out = a × b` for row-major `[m,k] × [k,n]` (set semantics).
 ///
-/// Cache-blocked: each output row is produced one [`MM_JB`]-wide column
-/// panel at a time, accumulated in a stack block that stays in registers
-/// while rows of the `b` panel stream through the inner loop. Per output
-/// element the reduction over `p` runs in ascending order from `0.0`,
-/// skipping `a[i,p] == 0.0` terms — the exact accumulation of
-/// [`naive::matmul_into`], so results are bit-identical.
+/// Runs [`matmul_avx2_into`] when the CPU has AVX2 and
+/// [`matmul_portable_into`] otherwise: the same source, compiled twice. Per
+/// output element the reduction over `p` runs in ascending order from
+/// `0.0`, skipping `a[i,p] == 0.0` terms — the exact accumulation of
+/// [`naive::matmul_into`], so every arm is bit-identical to it.
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    if !matmul_avx2_into(a, b, out, m, k, n) {
+        matmul_portable_into(a, b, out, m, k, n);
+    }
+}
+
+/// The instruction set [`matmul_into`] runs on this CPU: `"avx2"` or
+/// `"portable"`.
+pub fn matmul_arm() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
+/// [`matmul_into`]'s body compiled for the build's baseline target.
+pub fn matmul_portable_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_body(a, b, out, m, k, n);
+}
+
+/// [`matmul_into`]'s body compiled with AVX2 enabled. Returns `false`, and
+/// leaves `out` untouched, when the CPU lacks AVX2.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub fn matmul_avx2_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the line above confirmed this CPU supports AVX2.
+        unsafe { matmul_avx2_body(a, b, out, m, k, n) };
+        return true;
+    }
+    false
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_avx2_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_body(a, b, out, m, k, n);
+}
+
+/// Lanes of one accumulator vector: one AVX2 register of `f32`.
+const LANES: usize = 8;
+
+/// The one matmul body. Each [`MM_JB`]-wide column panel of width `w` runs
+/// [`panel`] at `V = ⌈w / LANES⌉` vectors, so every width has fixed-size
+/// accumulators the compiler keeps in registers.
+#[inline(always)]
+fn matmul_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if n <= MM_JB {
-        // Sub-panel output: the whole row fits where the register block
-        // would go, so the panel machinery (64-wide zero-init + copy-out per
-        // row) is pure overhead. The direct loop has the identical
-        // ascending-p accumulation, so this dispatch is invisible in the
-        // bits (`tests/kernel_diff.rs` covers both sides of the cutoff).
-        naive::matmul_into(a, b, out, m, k, n);
-        return;
+    // A panel narrower than its `V * LANES` lanes reads up to LANES - 1
+    // floats past its row edge. Mid-matrix that is the next row of `b`; at
+    // the end of `b` the read goes to this zero-padded copy of its last
+    // floats instead. The junk lanes are never written to `out`.
+    let mut tail = [0.0f32; 2 * MM_JB];
+    let tail_at = b.len() - b.len().min(MM_JB);
+    if !n.is_multiple_of(LANES) {
+        tail[..b.len() - tail_at].copy_from_slice(&b[tail_at..]);
     }
-    let mut jb = 0usize;
+    let t = Tail { buf: &tail, at: tail_at };
+    let mut jb = 0;
     while jb < n {
-        let w = MM_JB.min(n - jb);
-        if w == MM_JB {
-            // Full-width panel: fixed-size accumulator, unrolled + vectorized.
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let mut acc = [0.0f32; MM_JB];
-                for (p, &av) in arow.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n + jb..p * n + jb + MM_JB];
-                    for (c, &bv) in acc.iter_mut().zip(brow) {
-                        *c += av * bv;
-                    }
-                }
-                out[i * n + jb..i * n + jb + MM_JB].copy_from_slice(&acc);
-            }
-        } else {
-            // Ragged tail panel: same math over the first `w` lanes.
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let mut acc = [0.0f32; MM_JB];
-                let acc = &mut acc[..w];
-                for (p, &av) in arow.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let brow = &b[p * n + jb..p * n + jb + w];
-                    for (c, &bv) in acc.iter_mut().zip(brow) {
-                        *c += av * bv;
-                    }
-                }
-                out[i * n + jb..i * n + jb + w].copy_from_slice(acc);
-            }
+        // Rows per block (the second parameter), measured per width on
+        // AVX2: MR × V accumulators must leave registers for the operands.
+        match (n - jb).min(MM_JB).div_ceil(LANES) {
+            1 => panel::<1, 4>(a, b, &t, out, m, k, n, jb),
+            2 => panel::<2, 4>(a, b, &t, out, m, k, n, jb),
+            3 => panel::<3, 4>(a, b, &t, out, m, k, n, jb),
+            4 => panel::<4, 3>(a, b, &t, out, m, k, n, jb),
+            5 => panel::<5, 2>(a, b, &t, out, m, k, n, jb),
+            6 => panel::<6, 2>(a, b, &t, out, m, k, n, jb),
+            7 => panel::<7, 1>(a, b, &t, out, m, k, n, jb),
+            _ => panel::<8, 1>(a, b, &t, out, m, k, n, jb),
         }
         jb += MM_JB;
+    }
+}
+
+/// The zero-padded copy of `b`'s last floats; `buf[0]` is `b[at]`.
+struct Tail<'t> {
+    buf: &'t [f32],
+    at: usize,
+}
+
+/// Output columns `jb .. jb + min(n - jb, MM_JB)` of every row, `MR` rows
+/// at a time and the `m % MR` leftover rows one at a time.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn panel<const V: usize, const MR: usize>(
+    a: &[f32],
+    b: &[f32],
+    tail: &Tail<'_>,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    jb: usize,
+) {
+    // Rows `p` of `b` whose `V * LANES`-lane read from column `jb` ends
+    // inside `b`; the rest read from the tail copy.
+    let end = jb + V * LANES;
+    let in_b = if k * n >= end { ((k * n - end) / n + 1).min(k) } else { 0 };
+    let mut i = 0;
+    while i + MR <= m {
+        row_block::<V, MR>(a, b, tail, out, i, k, n, jb, in_b);
+        i += MR;
+    }
+    while i < m {
+        row_block::<V, 1>(a, b, tail, out, i, k, n, jb, in_b);
+        i += 1;
+    }
+}
+
+/// Rows `i .. i + MR` of one column panel, accumulated in `MR × V` register
+/// vectors over ascending `p`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn row_block<const V: usize, const MR: usize>(
+    a: &[f32],
+    b: &[f32],
+    tail: &Tail<'_>,
+    out: &mut [f32],
+    i: usize,
+    k: usize,
+    n: usize,
+    jb: usize,
+    in_b: usize,
+) {
+    let arows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+    let mut acc = [[[0.0f32; LANES]; V]; MR];
+    for p in 0..in_b {
+        accumulate(&mut acc, &arows, p, &b[p * n + jb..][..V * LANES]);
+    }
+    for p in in_b..k {
+        accumulate(&mut acc, &arows, p, &tail.buf[p * n + jb - tail.at..][..V * LANES]);
+    }
+    // Each vector is copied out of `acc` whole before its first `w` lanes
+    // are written: a variable-length copy straight out of `acc` would pin
+    // the accumulators in memory instead of registers.
+    let w = (n - jb).min(MM_JB);
+    for (r, acc) in acc.iter().enumerate() {
+        for (v, chunk) in out[(i + r) * n + jb..][..w].chunks_mut(LANES).enumerate() {
+            let lanes: [f32; LANES] = acc[v];
+            match chunk.len() {
+                LANES => chunk.copy_from_slice(&lanes),
+                len => chunk.copy_from_slice(&lanes[..len]),
+            }
+        }
+    }
+}
+
+/// `acc[r] += a[r][p] * brow` for each row whose `a[r][p]` is not zero.
+#[inline(always)]
+fn accumulate<const V: usize, const MR: usize>(
+    acc: &mut [[[f32; LANES]; V]; MR],
+    arows: &[&[f32]; MR],
+    p: usize,
+    brow: &[f32],
+) {
+    for (acc, arow) in acc.iter_mut().zip(arows) {
+        let av = arow[p];
+        if av == 0.0 {
+            continue;
+        }
+        for (v, acc) in acc.iter_mut().enumerate() {
+            for (l, c) in acc.iter_mut().enumerate() {
+                *c += av * brow[v * LANES + l];
+            }
+        }
     }
 }
 
@@ -279,6 +405,75 @@ pub fn linear_forward(x: &Array, w: &Array, b: Option<&Array>) -> Array {
         }
         Some(b) => v.add(b),
         None => v,
+    }
+}
+
+// ----------------------------------------------------------------------
+// Fused target-aware attention decoder
+// ----------------------------------------------------------------------
+
+/// Candidate rows the fused decoder takes per panel.
+pub const TAAD_PANEL: usize = 32;
+
+/// Scratch floats [`taad_scores_into`] needs: `fᵀ` for one sequence plus
+/// one panel each of logits, weights and attended summaries.
+pub fn taad_scratch_len(n: usize, d: usize) -> usize {
+    d * n + TAAD_PANEL * (2 * n + d)
+}
+
+/// Target-aware attention decoder scores into `out: [b*m]` (set semantics).
+///
+/// `f: [b, n, d]` is the encoder output, `c: [b, m, d]` the candidates and
+/// `mask: [b, m, n]` the additive attention mask. [`TAAD_PANEL`] candidates
+/// at a time go through logits `c·fᵀ` → `×1/√d` → `+mask` → softmax → `·f`
+/// → `Σ s⊙c`. Each step is the kernel the unfused composition
+/// (`Exec::taad_scores` on the tape) runs, applied to the same rows in the
+/// same order, so the scores are bit-identical to it; only the `[m, n]` and
+/// `[m, d]` intermediates shrink to one panel of `scratch`.
+#[allow(clippy::too_many_arguments)]
+pub fn taad_scores_into(
+    f: &[f32],
+    c: &[f32],
+    mask: &[f32],
+    out: &mut [f32],
+    scratch: &mut [f32],
+    b: usize,
+    m: usize,
+    n: usize,
+    d: usize,
+) {
+    debug_assert_eq!(f.len(), b * n * d);
+    debug_assert_eq!(c.len(), b * m * d);
+    debug_assert_eq!(mask.len(), b * m * n);
+    debug_assert_eq!(out.len(), b * m);
+    let inv_sqrt_d = 1.0 / (d as f32).sqrt();
+    let (ft, rest) = scratch.split_at_mut(d * n);
+    let (logits, rest) = rest.split_at_mut(TAAD_PANEL * n);
+    let (wts, s) = rest.split_at_mut(TAAD_PANEL * n);
+    for bi in 0..b {
+        let fb = &f[bi * n * d..][..n * d];
+        transpose_last2_into(fb, ft, 1, n, d);
+        for i0 in (0..m).step_by(TAAD_PANEL) {
+            let rows = TAAD_PANEL.min(m - i0);
+            let row0 = bi * m + i0;
+            let cp = &c[row0 * d..][..rows * d];
+            let lp = &mut logits[..rows * n];
+            matmul_into(cp, ft, lp, rows, d, n);
+            for (l, &mk) in lp.iter_mut().zip(&mask[row0 * n..][..rows * n]) {
+                let scaled = *l * inv_sqrt_d;
+                *l = scaled + mk;
+            }
+            let wp = &mut wts[..rows * n];
+            softmax_last_into(lp, wp, n);
+            let sp = &mut s[..rows * d];
+            matmul_into(wp, fb, sp, rows, n, d);
+            // `Σ s⊙c` per row: the products, then `Iterator::sum` in
+            // ascending `j` — the arithmetic of `mul` + `sum_last_into`.
+            let dots = sp.chunks_exact(d).zip(cp.chunks_exact(d));
+            for (o, (srow, crow)) in out[row0..][..rows].iter_mut().zip(dots) {
+                *o = srow.iter().zip(crow).map(|(&x, &y)| x * y).sum();
+            }
+        }
     }
 }
 
@@ -636,6 +831,15 @@ pub fn bmm_flops(a: &Array, b: &Array) -> u64 {
         return 0;
     }
     (ash[0] as u64) * 2 * (ash[1] as u64) * (ash[2] as u64) * (n as u64)
+}
+
+/// Estimated FLOPs of the target-aware decoder over `f: [b,n,d]` and
+/// `c: [b,m,d]`: the sum of what its unfused ops report — two batched
+/// matmuls (`4bmnd`), scale + mask + softmax (`7bmn`), and the product and
+/// row sum (`2bmd`) — so fusing it does not move the FLOP count.
+pub fn taad_flops(b: usize, m: usize, n: usize, d: usize) -> u64 {
+    let (b, m, n, d) = (b as u64, m as u64, n as u64, d as u64);
+    4 * b * m * n * d + 7 * b * m * n + 2 * b * m * d
 }
 
 // ----------------------------------------------------------------------

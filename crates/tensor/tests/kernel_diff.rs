@@ -1,21 +1,22 @@
-//! Differential tests: the cache-blocked production kernels against their
-//! naive references (`stisan_tensor::kernels::naive`).
+//! Differential tests: the production kernels against their naive references
+//! (`stisan_tensor::kernels::naive`), and the fused decoder against the
+//! composition it replaces.
 //!
 //! The contract under test is *bit-identity*, not approximate closeness: the
-//! blocked rewrites keep the naive kernels' accumulation order (ascending-p
-//! sums from 0.0, per-row softmax normalization, shared `ln_row_stats`), so
-//! every output lane must match to the bit — including signed zeros,
-//! subnormals and large-magnitude inputs (DESIGN.md §14). Shapes deliberately
-//! cover the degenerate row/column vectors (1×N, N×1) and sizes that are not
-//! a multiple of the 64-wide column panel, so both the full-width and
-//! ragged-tail code paths are exercised.
+//! production kernels keep the naive kernels' accumulation order
+//! (ascending-p sums from 0.0, per-row softmax normalization, shared
+//! `ln_row_stats`), so every output lane must match to the bit — including
+//! signed zeros, subnormals and large-magnitude inputs (DESIGN.md §14). The
+//! matmul is checked on both of its instruction-set arms, at every output
+//! width from 1 to 130: each 8-lane step of the register kernel, the 64-wide
+//! panel edge and the narrow tail panel after it.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use stisan_tensor::kernels::{self, naive};
-use stisan_tensor::Array;
+use stisan_tensor::{Array, Exec, Graph, NoGrad};
 
 /// f32 values weighted toward the parity traps: exact ±0.0, subnormals, and
 /// magnitudes large enough that reassociation would visibly change rounding.
@@ -210,6 +211,140 @@ fn zero_width_contraction_is_positive_zero() {
     for v in &blocked {
         assert_eq!(v.to_bits(), 0.0f32.to_bits(), "expected exactly +0.0");
     }
+}
+
+/// Values that must survive a junk lane untouched: if a lane past a panel's
+/// width ever reached `out`, these would show up in the wrong column.
+const SPECIALS: [f32; 8] =
+    [0.0, -0.0, 1.0e-40, -1.0e-40, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 7.5];
+
+/// `[m,k] × [k,n]` operands for the width sweep: `a` has a zero (or `-0.0`)
+/// in every third slot to drive the skip-on-zero path; `b` carries
+/// [`SPECIALS`] in the first 8 columns of row 1, just past row 0's last
+/// panel edge (the lanes a narrow panel reads beyond its width), and in the
+/// 8 columns just past the 64-wide panel edge.
+fn sweep_operands(m: usize, k: usize, n: usize, rng: &mut StdRng) -> (Vec<f32>, Vec<f32>) {
+    let mut a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+    for (i, x) in a.iter_mut().enumerate() {
+        match i % 6 {
+            0 => *x = 0.0,
+            3 => *x = -0.0,
+            _ => {}
+        }
+    }
+    let mut b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+    let row = 1.min(k.saturating_sub(1));
+    if k > 0 {
+        for (j, &s) in SPECIALS.iter().enumerate() {
+            for col in [j, 64 + j] {
+                if col < n {
+                    b[row * n + col] = s;
+                }
+            }
+        }
+    }
+    (a, b)
+}
+
+/// Every output width 1..=130, `m` on and off each row-block multiple, and
+/// `k` ∈ {0, 1, 2, large}: both matmul arms match the naive loop bit for
+/// bit. (On a CPU without AVX2 only the portable arm can run.)
+#[test]
+fn matmul_arms_match_naive_at_every_width() {
+    let mut rng = StdRng::seed_from_u64(26);
+    let mut avx2_cases = 0usize;
+    for n in 1..=130 {
+        for m in [1usize, 2, 5, 7, 9, 13] {
+            for k in [0usize, 1, 2, 67] {
+                let (a, b) = sweep_operands(m, k, n, &mut rng);
+                let mut reference = vec![f32::NAN; m * n];
+                naive::matmul_into(&a, &b, &mut reference, m, k, n);
+                let what = format!("m={m} k={k} n={n}");
+                let mut out = vec![f32::NAN; m * n];
+                kernels::matmul_portable_into(&a, &b, &mut out, m, k, n);
+                assert_bits_eq(&out, &reference, &format!("portable {what}"));
+                let mut out = vec![f32::NAN; m * n];
+                if kernels::matmul_avx2_into(&a, &b, &mut out, m, k, n) {
+                    assert_bits_eq(&out, &reference, &format!("avx2 {what}"));
+                    avx2_cases += 1;
+                }
+            }
+        }
+    }
+    let expect_avx2 = kernels::matmul_arm() == "avx2";
+    assert_eq!(avx2_cases > 0, expect_avx2, "the AVX2 arm ran iff the CPU has AVX2");
+}
+
+/// `[b, m, n]` decoder mask: per candidate row, either fully open, a
+/// `-1e9` prefix (the eval mask's padding), all `-1e9` (a fully masked
+/// row), or all `-inf` (softmax's zero-weight row).
+fn decoder_mask(b: usize, m: usize, n: usize, rng: &mut StdRng) -> Vec<f32> {
+    let mut mask = vec![0.0f32; b * m * n];
+    for row in mask.chunks_exact_mut(n) {
+        match rng.gen_range(0..4) {
+            0 => {}
+            1 => {
+                let prefix = rng.gen_range(0..=n);
+                row[..prefix].fill(-1e9);
+            }
+            2 => row.fill(-1e9),
+            _ => row.fill(f32::NEG_INFINITY),
+        }
+    }
+    mask
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The fused decoder (`NoGrad::taad_scores`) == the composition the
+    /// tape records (`Exec::taad_scores` on `Graph`), bit for bit, with `m`
+    /// crossing the 32-row panel.
+    #[test]
+    fn fused_decoder_matches_composition(
+        b in 1usize..3,
+        m in 1usize..72,
+        n in 1usize..40,
+        d in 1usize..80,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f = Array::uniform(vec![b, n, d], -2.0, 2.0, &mut rng);
+        let mut c = Array::uniform(vec![b, m, d], -2.0, 2.0, &mut rng);
+        // Zero candidate lanes: 0 · s terms in the final row sums.
+        for x in c.data_mut().iter_mut().step_by(5) {
+            *x = 0.0;
+        }
+        let mask = Array::from_vec(vec![b, m, n], decoder_mask(b, m, n, &mut rng));
+        let run = |e: &mut dyn Exec| -> Vec<f32> {
+            let fv = e.constant(f.clone());
+            let cv = e.constant(c.clone());
+            let y = e.taad_scores(fv, cv, mask.clone());
+            assert_eq!(e.value(y).shape(), &[b, m]);
+            e.value(y).data().to_vec()
+        };
+        let composed = run(&mut Graph::new());
+        let fused = run(&mut NoGrad::new());
+        assert_bits_eq(&fused, &composed, "taad");
+    }
+}
+
+/// The fused decoder reports exactly the FLOPs of the ops it replaces.
+#[test]
+fn decoder_flops_equal_the_composition() {
+    let (b, m, n, d) = (2usize, 37usize, 20usize, 64usize);
+    let f = Array::zeros(vec![b, n, d]);
+    let c = Array::zeros(vec![b, m, d]);
+    let ft = Array::zeros(vec![b, d, n]);
+    let w = Array::zeros(vec![b, m, n]);
+    let composed = kernels::bmm_flops(&c, &ft)
+        + (b * m * n) as u64 // scale
+        + (b * m * n) as u64 // + mask
+        + 5 * (b * m * n) as u64 // softmax
+        + kernels::bmm_flops(&w, &f)
+        + (b * m * d) as u64 // s ⊙ c
+        + (b * m * d) as u64; // row sums
+    assert_eq!(kernels::taad_flops(b, m, n, d), composed);
 }
 
 /// The affine layer-norm validates its parameter shapes *before* computing

@@ -93,4 +93,24 @@ if [ "$fail" -ne 0 ]; then
     echo "panic_audit: FAILED — new unwrap/expect in library code; handle the error or extend $ALLOWLIST deliberately" >&2
     exit 1
 fi
+
+# The tensor crate's only sanctioned `unsafe` is the instruction-set
+# dispatch: a single call into a `#[target_feature]` function, made after the
+# CPU was checked, on the line right after a `// SAFETY:` comment saying so.
+# Any other `unsafe` (blocks, fns, impls, raw-pointer code) fails.
+unsafe_sites=$(awk '
+    FNR == 1 { prev = "" }
+    /^[[:space:]]*\/\// { prev = $0; next }
+    /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ {
+        ok = ($0 ~ /^[[:space:]]*unsafe \{ [[:alnum:]_]+\(.*\) \};?[[:space:]]*$/) \
+            && (prev ~ /^[[:space:]]*\/\/ SAFETY: /)
+        if (!ok) print FILENAME ":" FNR ": " $0
+    }
+    { prev = $0 }
+' crates/tensor/src/*.rs)
+if [ -n "$unsafe_sites" ]; then
+    echo "panic_audit: unsafe in crates/tensor/src outside an ISA-dispatch call preceded by // SAFETY:" >&2
+    echo "$unsafe_sites" >&2
+    exit 1
+fi
 echo "panic_audit: OK"
