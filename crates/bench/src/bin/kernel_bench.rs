@@ -181,6 +181,7 @@ fn main() {
         (vec![0.0f32; bsz * bm * bn], vec![0.0f32; bsz * bm * bn]);
     let (mut out_lin_b, mut out_lin_n) = (vec![0.0f32; rows * lf], vec![0.0f32; rows * lf]);
     let (mut out_sm_b, mut out_sm_n) = (vec![0.0f32; sr * sw], vec![0.0f32; sr * sw]);
+    let mut out_ln = vec![0.0f32; sr * sw];
     let (mut out_max_b, mut out_max_n) = (vec![0.0f32; xb * xd], vec![0.0f32; xb * xd]);
 
     let mut gated_speedups: Vec<(&str, f64)> = Vec::new();
@@ -333,7 +334,9 @@ fn main() {
         "layer_norm 2048x64",
         o.iters,
         || {
-            std::hint::black_box(kernels::layer_norm_affine(&sm, &ln_alpha, &ln_beta, 1e-5));
+            let (a, b) = (ln_alpha.data(), ln_beta.data());
+            kernels::layer_norm_affine_into(sm.data(), a, b, 1e-5, &mut out_ln, sw);
+            std::hint::black_box(&out_ln);
         },
         || {
             std::hint::black_box(naive::layer_norm_affine(&sm, &ln_alpha, &ln_beta, 1e-5));

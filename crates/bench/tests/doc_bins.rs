@@ -1,8 +1,9 @@
 //! Every `--bin <name>` / `--bench <name>` the docs tell a reader to run must
 //! name a target that exists in the workspace (targets are auto-discovered:
-//! `crates/*/src/bin/<name>.rs` or `<name>/main.rs`, `crates/*/benches/<name>.rs`).
+//! `crates/*/src/bin/<name>.rs` or `<name>/main.rs`, `crates/*/benches/<name>.rs`),
+//! and every source file or item the docs cite must still exist.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 4] =
     ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"];
@@ -36,4 +37,75 @@ fn docs_name_only_targets_that_exist() {
         }
     }
     assert!(missing.is_empty(), "docs name targets the workspace does not have: {missing:#?}");
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `src` defines an item called `name` (`fn`, `struct`, `enum`,
+/// `const`, `static`, `type`, `trait` or `mod`).
+fn defines(src: &str, name: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    ["fn ", "struct ", "enum ", "const ", "static ", "type ", "trait ", "mod "].iter().any(|kw| {
+        let def = format!("{kw}{name}");
+        src.match_indices(&def).any(|(i, _)| {
+            let before = src[..i].chars().next_back().is_none_or(|c| !is_ident(c));
+            let after = src[i + def.len()..].chars().next().is_none_or(|c| !is_ident(c));
+            before && after
+        })
+    })
+}
+
+/// Every `crates/….rs` path the docs cite exists, and every `file.rs::name`
+/// citation (the file given by any path suffix, e.g. `graph.rs` or
+/// `tensor/src/graph.rs`) names an item that file still defines.
+#[test]
+fn docs_cite_only_sources_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sources = Vec::new();
+    rust_files(&root.join("crates"), &mut sources);
+    let is_path_char = |c: char| c.is_alphanumeric() || "_-./".contains(c);
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut stale = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (i, _) in text.match_indices(".rs") {
+            let rest = &text[i + 3..];
+            if rest.starts_with(is_ident) {
+                continue;
+            }
+            let start = text[..i]
+                .char_indices()
+                .rev()
+                .take_while(|&(_, c)| is_path_char(c))
+                .last()
+                .map_or(i, |(p, _)| p);
+            let cited = &text[start..i + 3];
+            let files: Vec<&PathBuf> = sources
+                .iter()
+                .filter(|f| f.ends_with(cited) && !cited.starts_with(".rs"))
+                .collect();
+            if cited.starts_with("crates/") && !root.join(cited).is_file() {
+                stale.push(format!("{doc}: no file {cited}"));
+            } else if let Some(item) = rest.strip_prefix("::") {
+                let name: String = item.chars().take_while(|&c| is_ident(c)).collect();
+                let found = files.iter().any(|f| {
+                    defines(&std::fs::read_to_string(f).expect("source is readable"), &name)
+                });
+                if !found {
+                    stale.push(format!("{doc}: {cited}::{name} is not defined there"));
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "docs cite sources that no longer exist: {stale:#?}");
 }

@@ -21,7 +21,7 @@ use stisan_nn::{
     sinusoidal_encoding_into, tape_positions_into, weighted_bce_loss, Adam, CheckpointError,
     CheckpointManager, Embedding, FeedForward, LayerNorm, Linear, ParamStore, Session, TrainState,
 };
-use stisan_tensor::{Arena, Array, Exec, Var};
+use stisan_tensor::{Arena, Array, Tape, Var};
 
 /// Quadkey zoom level of the geography encoder (GeoSAN uses 17; we default
 /// lower so the n-gram vocabulary stays proportionate at reduced scale).
@@ -216,9 +216,9 @@ impl Iaab {
     ///   attention weights are `Softmax(R)` alone, Eq 16).
     ///
     /// Returns the block output and the attention weights.
-    pub fn forward<E: Exec>(
+    pub fn forward<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         x: Var,
         mode: CoreAttention,
         soft_bias: &Array,
@@ -371,14 +371,14 @@ impl StiSan {
     /// batch references each POI many times across steps and negative slots),
     /// then the unique encodings are gathered back into position — a pure
     /// optimization with identical outputs and gradients.
-    pub fn embed<E: Exec>(&self, sess: &mut Session<'_, E>, ids: &[usize]) -> Var {
+    pub fn embed<T: Tape>(&self, sess: &mut Session<'_, T>, ids: &[usize]) -> Var {
         self.embed_in(sess, ids, &mut PrepBufs::default())
     }
 
     /// [`StiSan::embed`] with caller-owned scratch buffers — the single
     /// implementation both forms share, so they are bit-identical. The
     /// serving path reuses one [`PrepBufs`] across requests.
-    fn embed_in<E: Exec>(&self, sess: &mut Session<'_, E>, ids: &[usize], bufs: &mut PrepBufs) -> Var {
+    fn embed_in<T: Tape>(&self, sess: &mut Session<'_, T>, ids: &[usize], bufs: &mut PrepBufs) -> Var {
         match &self.geo_enc {
             None => self.poi_emb.forward(sess, ids, &[ids.len()]),
             Some(enc) => {
@@ -421,9 +421,9 @@ impl StiSan {
     /// The TAPE (or vanilla, under variant II) positional matrix `[b, n, d]`,
     /// written into arena scratch on the serving backend (every element is
     /// set; `add_const` recycles the consumed matrix).
-    fn position_matrix_in<E: Exec>(
+    fn position_matrix_in<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         batch: &SeqBatch,
         bufs: &mut PrepBufs,
     ) -> Array {
@@ -450,9 +450,9 @@ impl StiSan {
     /// Builds the three per-batch attention biases: `Softmax(R)`+mask, plain
     /// mask, and masked raw `R` — all in arena scratch on the serving backend
     /// (every element is written; the caller recycles them after the blocks).
-    fn biases_in<E: Exec>(
+    fn biases_in<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         batch: &SeqBatch,
         bufs: &mut PrepBufs,
@@ -508,9 +508,9 @@ impl StiSan {
 
     /// Encodes a batch into per-step representations `[b, n, d]`; also
     /// returns every block's attention weights (Fig 5/7 inspection).
-    pub fn encode_full<E: Exec>(
+    pub fn encode_full<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         batch: &SeqBatch,
     ) -> (Var, Vec<Var>) {
@@ -520,9 +520,9 @@ impl StiSan {
     /// [`StiSan::encode_full`] with caller-owned prep scratch — the single
     /// implementation (the wrapper passes fresh buffers), so both forms are
     /// bit-identical.
-    fn encode_full_in<E: Exec>(
+    fn encode_full_in<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         batch: &SeqBatch,
         bufs: &mut PrepBufs,
@@ -536,9 +536,9 @@ impl StiSan {
     /// attention weights (the inspection path); the serving path passes
     /// `None`, which skips the per-request `Vec` allocation — the op sequence
     /// is identical either way, so both forms stay bit-identical.
-    fn encode_core_in<E: Exec>(
+    fn encode_core_in<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         batch: &SeqBatch,
         bufs: &mut PrepBufs,
@@ -569,9 +569,9 @@ impl StiSan {
     }
 
     /// [`StiSan::encode_full`] without the inspection weights.
-    pub fn encode<E: Exec>(
+    pub fn encode<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         batch: &SeqBatch,
     ) -> Var {
@@ -579,9 +579,9 @@ impl StiSan {
     }
 
     /// [`StiSan::encode`] with caller-owned prep scratch.
-    fn encode_in<E: Exec>(
+    fn encode_in<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         batch: &SeqBatch,
         bufs: &mut PrepBufs,
@@ -600,9 +600,9 @@ impl StiSan {
     /// produce bit-identical scores, [`CandSource::Rows`] scores whatever
     /// rows the caller gathered (exact rows → bit-identical, dequantized
     /// rows → within the codec's documented error bound).
-    fn score_var_in<E: Exec>(
+    fn score_var_in<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         inst: &EvalInstance,
         candidates: &[u32],
@@ -630,7 +630,7 @@ impl StiSan {
         if self.cfg.use_taad {
             let c = sess.g.reshape(c, &[1, m, d]);
             // Arena-backed; fully written, consumed (and recycled) by the
-            // decoder (`Exec::taad_scores`).
+            // decoder (`Exec::taad_scores`, fused on the serving tape).
             let mut mask = sess.g.scratch_array(&[1, m, n]);
             taad_eval_mask_into(m, n, batch.valid_from[0], mask.data_mut());
             sess.g.taad_scores(f, c, mask)

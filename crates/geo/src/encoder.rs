@@ -8,7 +8,7 @@
 
 use rand::Rng;
 use stisan_nn::{attention, Embedding, Linear, ParamStore, Session};
-use stisan_tensor::{Exec, Var};
+use stisan_tensor::{Tape, Var};
 
 use crate::quadkey::{tokens_per_point, vocab_size};
 
@@ -62,7 +62,7 @@ impl GeoEncoder {
     /// `tokens` holds the flattened n-gram ids of `count` locations
     /// (`count * tokens_per_location()` entries, precomputed once per POI by
     /// the data pipeline). Returns `[count, dim]`.
-    pub fn forward<E: Exec>(&self, sess: &mut Session<'_, E>, tokens: &[usize], count: usize) -> Var {
+    pub fn forward<T: Tape>(&self, sess: &mut Session<'_, T>, tokens: &[usize], count: usize) -> Var {
         let t = self.tokens_per_location();
         assert_eq!(
             tokens.len(),

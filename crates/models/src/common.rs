@@ -318,9 +318,9 @@ impl EncoderBlock {
     /// Applies the block to `x: [b, n, d]` with additive attention-logit
     /// `bias`. Returns the new representation and the attention weights
     /// (for the paper's heat-map figures).
-    pub fn forward<E: stisan_tensor::Exec>(
+    pub fn forward<T: stisan_tensor::Tape>(
         &self,
-        sess: &mut stisan_nn::Session<'_, E>,
+        sess: &mut stisan_nn::Session<'_, T>,
         x: stisan_tensor::Var,
         bias: Option<stisan_tensor::Var>,
     ) -> (stisan_tensor::Var, stisan_tensor::Var) {
@@ -341,8 +341,8 @@ impl EncoderBlock {
 /// Scores per-step candidates by inner product: `reps: [b, n, d]` against the
 /// gathered candidate embeddings `cands: [b*n, 1+l, d]`, returning
 /// `[b, n, 1+l]` logits.
-pub fn dot_scores<E: stisan_tensor::Exec>(
-    sess: &mut stisan_nn::Session<'_, E>,
+pub fn dot_scores<T: stisan_tensor::Tape>(
+    sess: &mut stisan_nn::Session<'_, T>,
     reps: stisan_tensor::Var,
     cands: stisan_tensor::Var,
     b: usize,
@@ -569,7 +569,6 @@ mod tests {
     #[test]
     fn taad_scores_match_hand_computation() {
         use stisan_nn::{ParamStore, Session};
-        use stisan_tensor::Exec;
         // One position, one candidate: attention collapses to that position,
         // so the score is exactly c · f.
         let store = ParamStore::new();

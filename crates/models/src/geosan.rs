@@ -21,7 +21,7 @@ use stisan_nn::{
     causal_mask, padding_row_mask, sinusoidal_encoding, vanilla_positions, weighted_bce_loss,
     Adam, Embedding, LayerNorm, ParamStore, Session,
 };
-use stisan_tensor::{Array, Exec, Var};
+use stisan_tensor::{Array, Var};
 
 use crate::common::{
     interleave_candidates, taad_eval_mask, taad_train_mask, EncoderBlock, SeqBatch, TrainConfig,

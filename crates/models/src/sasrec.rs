@@ -16,7 +16,7 @@ use stisan_nn::{
     bce_loss, causal_mask, padding_row_mask, sinusoidal_encoding, tape_positions,
     vanilla_positions, Adam, Embedding, LayerNorm, ParamStore, Session,
 };
-use stisan_tensor::{Array, Exec, Var};
+use stisan_tensor::{Array, Tape, Var};
 
 use crate::common::{
     check_finite_step, dot_scores, interleave_candidates, uniform_negatives, EncoderBlock,
@@ -128,9 +128,9 @@ impl SasRec {
 
     /// Encodes a batch into per-step representations `[b, n, d]`.
     /// Also returns the last block's attention weights for inspection.
-    pub fn encode<E: Exec>(
+    pub fn encode<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         batch: &SeqBatch,
     ) -> (Var, Var) {
@@ -217,9 +217,9 @@ impl SasRec {
 
     /// Backend-generic last-step candidate scoring shared by the tape and
     /// frozen paths (parity-by-construction, see DESIGN.md §9).
-    fn score_in<E: Exec>(
+    fn score_in<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         inst: &EvalInstance,
         candidates: &[u32],

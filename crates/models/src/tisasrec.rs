@@ -17,7 +17,7 @@ use stisan_nn::{
     bce_loss, causal_mask, padding_row_mask, sinusoidal_encoding, vanilla_positions, Adam,
     Embedding, FeedForward, LayerNorm, Linear, ParamStore, Session,
 };
-use stisan_tensor::{Array, Exec, Var};
+use stisan_tensor::{Array, Tape, Var};
 
 use crate::common::{dot_scores, interleave_candidates, uniform_negatives, SeqBatch, TrainConfig};
 
@@ -98,7 +98,7 @@ impl TiSasRec {
     }
 
     /// Encodes a batch into per-step representations `[b, n, d]`.
-    pub fn encode<E: Exec>(&self, sess: &mut Session<'_, E>, batch: &SeqBatch) -> Var {
+    pub fn encode<T: Tape>(&self, sess: &mut Session<'_, T>, batch: &SeqBatch) -> Var {
         let (b, n, d) = (batch.b, batch.n, self.cfg.dim);
         let e = self.emb.forward(sess, &batch.src, &[b, n]);
         let mut pos_data = Vec::with_capacity(b * n * d);
@@ -145,9 +145,9 @@ impl TiSasRec {
 
     /// Backend-generic last-step candidate scoring shared by the tape and
     /// frozen paths (parity-by-construction, see DESIGN.md §9).
-    fn score_in<E: Exec>(
+    fn score_in<T: Tape>(
         &self,
-        sess: &mut Session<'_, E>,
+        sess: &mut Session<'_, T>,
         data: &Processed,
         inst: &EvalInstance,
         candidates: &[u32],

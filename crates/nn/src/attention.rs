@@ -8,7 +8,7 @@
 //! * TiSASRec / STAN: bias = learned interval logits (a graph [`Var`]);
 //! * TAAD / STAN matching layers: cross-attention with step masks.
 
-use stisan_tensor::{Exec, Var};
+use stisan_tensor::{Tape, Var};
 
 use crate::param::Session;
 
@@ -27,7 +27,7 @@ pub struct AttentionOutput {
 /// * `bias`: optional additive `[b, n_q, n_k]` (or broadcastable) logits —
 ///   masks and/or relation matrices. Pass constants via
 ///   [`Session::constant`]; trainable biases (TiSASRec) as regular nodes.
-pub fn attention<E: Exec>(sess: &mut Session<'_, E>, q: Var, k: Var, v: Var, bias: Option<Var>) -> AttentionOutput {
+pub fn attention<T: Tape>(sess: &mut Session<'_, T>, q: Var, k: Var, v: Var, bias: Option<Var>) -> AttentionOutput {
     let d = *sess.g.value(q).shape().last().expect("attention: scalar q");
     let kt = sess.g.transpose_last2(k);
     let mut logits = sess.g.bmm(q, kt);

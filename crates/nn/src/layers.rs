@@ -1,7 +1,7 @@
 //! Core layers: linear, embedding, layer normalization, feed-forward.
 
 use rand::Rng;
-use stisan_tensor::{xavier_uniform, Array, Exec, Var, MAX_DIMS};
+use stisan_tensor::{xavier_uniform, Array, Tape, Var, MAX_DIMS};
 
 use crate::param::{ParamId, ParamStore, Session};
 
@@ -31,7 +31,7 @@ impl Linear {
     }
 
     /// Applies the layer to `x: [..., in_dim]` (any execution backend).
-    pub fn forward<E: Exec>(&self, sess: &mut Session<'_, E>, x: Var) -> Var {
+    pub fn forward<T: Tape>(&self, sess: &mut Session<'_, T>, x: Var) -> Var {
         let w = sess.param(self.w);
         let b = self.b.map(|b| sess.param(b));
         sess.g.linear(x, w, b)
@@ -75,7 +75,7 @@ impl Embedding {
     /// `[*batch_shape, dim]`. Padding rows come out as (and stay) zero: the
     /// lookup is multiplied by a 0/1 mask so no gradient reaches the padding
     /// row and the output is exactly the zero vector.
-    pub fn forward<E: Exec>(&self, sess: &mut Session<'_, E>, indices: &[usize], batch_shape: &[usize]) -> Var {
+    pub fn forward<T: Tape>(&self, sess: &mut Session<'_, T>, indices: &[usize], batch_shape: &[usize]) -> Var {
         let table = sess.param(self.table);
         let e = sess.g.gather(table, indices, batch_shape);
         match self.padding_idx {
@@ -119,7 +119,7 @@ impl LayerNorm {
     }
 
     /// Normalizes `x: [..., dim]`.
-    pub fn forward<E: Exec>(&self, sess: &mut Session<'_, E>, x: Var) -> Var {
+    pub fn forward<T: Tape>(&self, sess: &mut Session<'_, T>, x: Var) -> Var {
         let alpha = sess.param(self.alpha);
         let beta = sess.param(self.beta);
         sess.g.layer_norm(x, alpha, beta, self.eps)
@@ -153,7 +153,7 @@ impl FeedForward {
     }
 
     /// Applies the network to `x: [..., d]`.
-    pub fn forward<E: Exec>(&self, sess: &mut Session<'_, E>, x: Var) -> Var {
+    pub fn forward<T: Tape>(&self, sess: &mut Session<'_, T>, x: Var) -> Var {
         let h = self.l1.forward(sess, x);
         let h = sess.g.relu(h);
         let h = sess.dropout(h, self.dropout);

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stisan_tensor::{Arena, Array, Exec, Graph, NoGrad, Var};
+use stisan_tensor::{Arena, Array, Exec, NoTape, OwnedTape, Tape, Var};
 
 /// Handle to a parameter inside a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,18 +72,19 @@ impl ParamStore {
     }
 }
 
-/// One forward (and, on the tape backend, backward) pass: a fresh execution
-/// backend plus lazy, cached bindings of store parameters into it.
+/// One forward (and, on the recording tape, backward) pass: a fresh
+/// executor plus lazy, cached bindings of store parameters into it.
 ///
 /// Binding the same [`ParamId`] twice returns the same [`Var`], so gradients
 /// from all uses of a shared parameter accumulate correctly.
 ///
-/// The backend type parameter `E` defaults to [`Graph`], the autodiff tape;
-/// [`Session::frozen`] builds an inference-only session on the tape-free
-/// [`NoGrad`] backend instead, sharing all layer/model forward code.
-pub struct Session<'s, E: Exec = Graph> {
-    /// The underlying execution backend (public: models compose ops directly).
-    pub g: E,
+/// The tape type parameter `T` defaults to [`OwnedTape`], the autodiff tape;
+/// [`Session::frozen`] builds an inference-only session on [`NoTape`]
+/// instead. Layers and models are generic over `T`, so both run the same
+/// forward code.
+pub struct Session<'s, T: Tape = OwnedTape> {
+    /// The executor (public: models compose ops directly).
+    pub g: Exec<T>,
     store: &'s ParamStore,
     bound: Vec<Option<Var>>,
     /// Whether dropout (and other train-only behaviour) is active.
@@ -91,12 +92,12 @@ pub struct Session<'s, E: Exec = Graph> {
     rng: StdRng,
 }
 
-impl<'s> Session<'s, Graph> {
+impl<'s> Session<'s, OwnedTape> {
     /// Creates a tape-backed session over `store`. `seed` drives dropout
     /// masks.
     pub fn new(store: &'s ParamStore, training: bool, seed: u64) -> Self {
         Session {
-            g: Graph::new(),
+            g: Exec::new(),
             store,
             bound: vec![None; store.len()],
             training,
@@ -120,7 +121,7 @@ impl<'s> Session<'s, Graph> {
     }
 }
 
-impl<'s> Session<'s, NoGrad> {
+impl<'s> Session<'s, NoTape> {
     /// Creates an inference-only session over frozen weights: no tape, no
     /// gradient bookkeeping, dropout forced off. Forward values are
     /// bit-identical to an eval-mode tape session over the same store.
@@ -138,7 +139,7 @@ impl<'s> Session<'s, NoGrad> {
         let mut bound = arena.take_bound_slots();
         bound.resize(store.len(), None);
         Session {
-            g: NoGrad::with_arena(arena),
+            g: Exec::with_arena(arena),
             store,
             bound,
             training: false,
@@ -155,8 +156,8 @@ impl<'s> Session<'s, NoGrad> {
     }
 }
 
-impl<'s, E: Exec> Session<'s, E> {
-    /// Binds a parameter into the backend (cached per session).
+impl<'s, T: Tape> Session<'s, T> {
+    /// Binds a parameter into the executor (cached per session).
     pub fn param(&mut self, id: ParamId) -> Var {
         if let Some(v) = self.bound[id.0] {
             return v;
@@ -166,7 +167,7 @@ impl<'s, E: Exec> Session<'s, E> {
         v
     }
 
-    /// Adds a non-trainable constant to the backend.
+    /// Adds a non-trainable constant to the executor.
     pub fn constant(&mut self, a: Array) -> Var {
         self.g.constant(a)
     }

@@ -4,9 +4,9 @@
 //! *span stack* — the `;`-joined path of frames open on a thread, e.g.
 //! `serve_one;linear`. Frames come from two sources: RAII [`frame`] guards
 //! (and every [`crate::span`] while serve profiling is on), and
-//! [`kernel`] guards emitted by `NoGrad` ops in `stisan-tensor`, which
-//! additionally feed a per-kernel [`TapeProfiler`] cost table — the same
-//! `OpKindRow` machinery the training tape uses.
+//! [`kernel`] guards emitted by the serving executor's ops in
+//! `stisan-tensor`, which additionally feed a per-kernel [`TapeProfiler`]
+//! cost table — the same `OpKindRow` machinery the training tape uses.
 //!
 //! ## Attribution model
 //!
@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use crate::alloc;
 use crate::plock;
-use crate::profile::{OpKindRow, TapeProfiler};
+use crate::profile::TapeProfiler;
 use crate::report::{json_num, json_str};
 
 static SERVE_PROF: AtomicBool = AtomicBool::new(false);
@@ -369,13 +369,6 @@ impl ServeProfiler {
         reg.set_gauge("prof.kernel_kinds", rows.len() as f64);
         reg.set_gauge("prof.kernel_self_us_total", kernel_us as f64);
     }
-
-    /// Top `n` kernels by self time, for bench reports.
-    pub fn top_kernels(&self, n: usize) -> Vec<OpKindRow> {
-        let mut rows = self.kernels.snapshot();
-        rows.truncate(n);
-        rows
-    }
 }
 
 /// Parses folded-stacks text back into `(frames, count)` pairs,
@@ -460,7 +453,5 @@ mod tests {
         assert!(json.contains("\"frames\":["));
         assert!(json.contains("\"kernels\":["));
         assert!(json.contains("\"kind\":\"linear\""));
-        let top = p.top_kernels(5);
-        assert_eq!(top.len(), 1);
     }
 }

@@ -1,9 +1,9 @@
 //! The autodiff-tape profiler.
 //!
 //! `stisan-tensor`'s `Graph` calls [`TapeProfiler::record_forward`] once
-//! per op it pushes onto the tape (with the op's wall time and estimated
-//! FLOPs) and [`TapeProfiler::record_backward`] once per op visited during
-//! the backward sweep. The profiler aggregates per op *kind* — `linear`,
+//! per op it computes (with the op's wall time and estimated FLOPs) and
+//! [`TapeProfiler::record_backward`] once per op visited during the
+//! backward sweep. The profiler aggregates per op *kind* — `linear`,
 //! `bmm`, `softmax_last`, ... — so a snapshot is a compact cost table for
 //! the whole run. Keys are `&'static str` supplied by the tensor crate, so
 //! recording never allocates.

@@ -4,9 +4,9 @@
 //!
 //! * **Frozen forward** — models score through
 //!   [`stisan_eval::FrozenScorer`], which runs the exact same forward code
-//!   as training/evaluation on the tape-free `NoGrad` backend
-//!   (`stisan_tensor::Exec`). No autodiff nodes are allocated and scores
-//!   are *bit-identical* to the tape path (`tests/parity.rs` proves it for
+//!   as training/evaluation on the tape-free `NoGrad` executor
+//!   (`stisan_tensor::Exec<NoTape>`). No autodiff nodes are allocated and
+//!   scores are *bit-identical* to the tape path (`tests/parity.rs` proves it for
 //!   STiSAN, SASRec, and TiSASRec, including a checkpoint round-trip).
 //! * **Geo pruning** — [`PruningPolicy::Radius`] restricts candidates to
 //!   POIs near the user's last check-in via the `stisan_geo` grid index,

@@ -3,7 +3,7 @@
 //!
 //! The binary installs [`stisan_obs::alloc::CountingAlloc`] as the global
 //! allocator and measures the thread-local allocation counters around
-//! steady-state serves. Two models are gated: a dedicated pure-`Exec`
+//! steady-state serves. Two models are gated: a dedicated executor-only
 //! scorer (isolates the engine + backend behavior) and the full STiSAN
 //! model — request prep (sequence batching, positional encodings, interval
 //! matrices, masks) now runs through pooled `_into` buffers held in the
@@ -30,7 +30,7 @@ use stisan_serve::{
     EngineBackend, InferenceSession, Recommendation, ReplicatedEngine, ServeConfig, SharedModel,
     SupervisorConfig,
 };
-use stisan_tensor::{Arena, Array, Exec, NoGrad};
+use stisan_tensor::{Arena, Array, NoGrad};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -278,6 +278,50 @@ fn warm_replicated_batch_of_one_allocates_a_small_constant() {
         "a warm batch of 1 made {small} allocations (gate {REPLICATED_BATCH1_ALLOCS})"
     );
     println!("warm batch-of-1 serve_outcomes: {small} allocations per call");
+}
+
+/// Allocations of one cold STiSAN training step — `Session::new`, the
+/// forward pass and `backward_and_grads` on a fixed batch — with obs on and
+/// every registry name already seen. Reported, not gated: each step builds
+/// its tape and its arena from nothing.
+#[test]
+fn cold_training_step_allocations_are_reported() {
+    use stisan_core::{StiSan, StisanConfig};
+    use stisan_models::common::{interleave_candidates, taad_train_mask, SeqBatch};
+    use stisan_models::TrainConfig;
+    use stisan_nn::{weighted_bce_loss, Session};
+
+    let p = processed();
+    let train = TrainConfig { dim: 16, blocks: 1, epochs: 0, batch: 8, seed: 5, ..Default::default() };
+    let m = StiSan::new(&p, StisanConfig { train: train.clone(), ..Default::default() });
+    let idxs: Vec<usize> = (0..train.batch.min(p.train.len())).collect();
+    let batch = SeqBatch::from_train(&p, &idxs);
+    let l = 2;
+    let negs: Vec<usize> = (0..batch.tgt.len() * l).map(|i| 1 + i % p.num_pois).collect();
+    let step = || {
+        let (b, n, d) = (batch.b, batch.n, train.dim);
+        let mut sess = Session::new(m.param_store(), true, 9);
+        let f = m.encode(&mut sess, &p, &batch);
+        let c = m.embed(&mut sess, &interleave_candidates(&batch.tgt, &negs, l));
+        let c = sess.g.reshape(c, &[b, n * (l + 1), d]);
+        let y = sess.g.taad_scores(f, c, taad_train_mask(b, n, l + 1, &batch.valid_from));
+        let y = sess.g.reshape(y, &[b, n, l + 1]);
+        let pos = sess.g.slice_last(y, 0, 1);
+        let pos = sess.g.reshape(pos, &[b, n]);
+        let neg = sess.g.slice_last(y, 1, l);
+        let loss = weighted_bce_loss(&mut sess, pos, neg, train.temperature, &batch.step_mask);
+        sess.backward_and_grads(loss).len()
+    };
+    stisan_obs::init();
+    let grads = step(); // first sight of every registry name and profiler kind
+    stisan_obs::alloc::enable();
+    assert!(stisan_obs::alloc::active(), "counting allocator is not active");
+    let a0 = stisan_obs::alloc::thread_stats();
+    assert_eq!(step(), grads);
+    let a1 = stisan_obs::alloc::thread_stats();
+    let (allocs, bytes) = (a1.allocs - a0.allocs, a1.bytes - a0.bytes);
+    assert!(allocs > 0, "a cold training step shows zero allocations — the counter is not measuring");
+    println!("cold training step: {allocs} allocations, {bytes} bytes");
 }
 
 /// The gate model itself honors the `score_frozen_into` contract: warm and

@@ -1,4 +1,5 @@
-//! A size-classed scratch-buffer arena for the tape-free serving path.
+//! A size-classed scratch-buffer arena: where every executor op takes its
+//! output buffer.
 //!
 //! Every op on the fresh-alloc path allocates an output `Vec<f32>` plus the
 //! `Arc` header that wraps it; at serve time that is hundreds of heap
@@ -74,9 +75,9 @@ pub struct ArenaStats {
 pub struct Arena {
     pools: Vec<Vec<Arc<Vec<f32>>>>,
     stats: ArenaStats,
-    /// Spare node-value vector for [`NoGrad`](crate::NoGrad): cleared but
-    /// with capacity retained, so rebuilding the backend each request does
-    /// not reallocate its node table.
+    /// Spare value vector for [`Exec`](crate::Exec): cleared but with
+    /// capacity retained, so rebuilding the executor each request does not
+    /// reallocate its value table.
     spare_vals: Vec<crate::array::Array>,
     /// Spare parameter-bind table for `Session` (same capacity-retention
     /// trick, owned here so the pool survives the session).

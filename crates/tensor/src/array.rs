@@ -229,30 +229,6 @@ impl Array {
         Array::from_parts(shape, out)
     }
 
-    /// Concatenates arrays along the last dimension.
-    pub fn concat_last(parts: &[&Array]) -> Array {
-        assert!(!parts.is_empty(), "concat_last: no inputs");
-        let nd = parts[0].ndim();
-        let lead = &parts[0].shape()[..nd - 1];
-        let mut last_total = 0usize;
-        for p in parts {
-            assert_eq!(p.ndim(), nd, "concat_last: rank mismatch");
-            assert_eq!(&p.shape()[..nd - 1], lead, "concat_last: leading dims differ");
-            last_total += p.shape[nd - 1];
-        }
-        let rows: usize = lead.iter().product();
-        let mut out = Vec::with_capacity(rows * last_total);
-        for r in 0..rows {
-            for p in parts {
-                let w = p.shape[nd - 1];
-                out.extend_from_slice(&p.data()[r * w..(r + 1) * w]);
-            }
-        }
-        let mut shape = Shape::of(lead);
-        shape.push(last_total);
-        Array::from_parts(shape, out)
-    }
-
     /// Extracts the half-open range `[start, start+len)` of the last dimension.
     pub fn slice_last(&self, start: usize, len: usize) -> Array {
         let nd = self.ndim();
@@ -290,11 +266,6 @@ impl Array {
         self.zip_broadcast(other, |a, b| a + b)
     }
 
-    /// Elementwise difference with broadcasting.
-    pub fn sub(&self, other: &Array) -> Array {
-        self.zip_broadcast(other, |a, b| a - b)
-    }
-
     /// Elementwise (Hadamard) product with broadcasting.
     pub fn mul(&self, other: &Array) -> Array {
         self.zip_broadcast(other, |a, b| a * b)
@@ -303,11 +274,6 @@ impl Array {
     /// Multiplies every element by a scalar.
     pub fn scale(&self, c: f32) -> Array {
         self.map(|x| x * c)
-    }
-
-    /// Adds a scalar to every element.
-    pub fn add_scalar(&self, c: f32) -> Array {
-        self.map(|x| x + c)
     }
 
     /// In-place `self += other * c` for identically shaped arrays
@@ -405,35 +371,12 @@ impl Array {
         }
     }
 
-    /// Sums over the last dimension, dropping it: `[..., w] -> [...]`.
-    pub fn sum_last(&self) -> Array {
-        let w = *self.shape.last().expect("sum_last: scalar input");
-        let rows = self.len() / w.max(1);
-        let mut out = vec![0.0f32; rows];
-        kernels::sum_last_into(self.data(), &mut out, w);
-        Array::from_parts(Shape::of(&self.shape[..self.ndim() - 1]), out)
-    }
-
-    /// Sums a 3-D array over axis 1: `[b, n, d] -> [b, d]`.
-    pub fn sum_axis1(&self) -> Array {
-        assert_eq!(self.ndim(), 3, "sum_axis1 requires a 3-D array");
-        let (b, n, d) = (self.shape[0], self.shape[1], self.shape[2]);
-        let mut out = vec![0.0f32; b * d];
-        kernels::sum_axis1_into(self.data(), &mut out, b, n, d);
-        Array::from_parts(Shape::of(&[b, d]), out)
-    }
-
     /// Numerically stable softmax over the last dimension.
     pub fn softmax_last(&self) -> Array {
         let w = *self.shape.last().expect("softmax_last: scalar input");
         let mut out = vec![0.0f32; self.len()];
         kernels::softmax_last_into(self.data(), &mut out, w);
         Array::from_parts(self.shape, out)
-    }
-
-    /// Maximum element.
-    pub fn max_all(&self) -> f32 {
-        self.data().iter().cloned().fold(f32::NEG_INFINITY, f32::max)
     }
 
     /// Squared L2 norm of all elements.
@@ -604,22 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_slice_last_roundtrip() {
-        let a = Array::from_vec(vec![2, 2], vec![1., 2., 3., 4.]);
-        let b = Array::from_vec(vec![2, 3], vec![5., 6., 7., 8., 9., 10.]);
-        let c = Array::concat_last(&[&a, &b]);
-        assert_eq!(c.shape(), &[2, 5]);
-        assert_eq!(c.data(), &[1., 2., 5., 6., 7., 3., 4., 8., 9., 10.]);
-        assert_eq!(c.slice_last(0, 2), a);
-        assert_eq!(c.slice_last(2, 3), b);
-    }
-
-    #[test]
-    fn sum_reductions() {
-        let a = Array::from_vec(vec![2, 2, 2], vec![1., 2., 3., 4., 5., 6., 7., 8.]);
-        assert_eq!(a.sum_all(), 36.0);
-        assert_eq!(a.sum_last().data(), &[3., 7., 11., 15.]);
-        assert_eq!(a.sum_axis1().data(), &[4., 6., 12., 14.]);
+    fn slice_last_extracts_columns() {
+        let c = Array::from_vec(vec![2, 5], vec![1., 2., 5., 6., 7., 3., 4., 8., 9., 10.]);
+        assert_eq!(c.slice_last(0, 2).data(), &[1., 2., 3., 4.]);
+        assert_eq!(c.slice_last(2, 3).data(), &[5., 6., 7., 8., 9., 10.]);
     }
 
     #[test]

@@ -1,292 +1,74 @@
-//! Execution backends: the op-constructor surface shared by the autodiff
-//! tape and the tape-free inference engine.
+//! The one forward executor.
 //!
-//! [`Exec`] abstracts "something you can build a forward computation on".
-//! Two backends implement it:
+//! [`Exec`] is where every forward op is written, once: its shape checks, its
+//! output buffer, the shared `_into` kernel, one profiling guard and one FLOP
+//! count. The tape type `T` decides what else is kept (see [`crate::graph`]):
 //!
-//! * [`Graph`] — the reverse-mode tape. Records every op (operands, grad
-//!   slots, profiler hooks) so [`Graph::backward`] can run afterwards.
-//! * [`NoGrad`] — the serving backend. Stores *only* forward values: no op
-//!   metadata, no gradient slots, no profiler bookkeeping. Sessions built on
-//!   it cannot run backward, which is exactly the point. Every op writes its
-//!   output into a buffer from an [`Arena`], so a warmed-up pass performs
-//!   zero steady-state heap allocations.
+//! * [`NoGrad`] = `Exec<NoTape>` — the serving executor. It records nothing,
+//!   never builds an op, and over a warmed arena (resumed with
+//!   [`Exec::with_arena`], returned by [`Exec::into_arena`]) a forward pass
+//!   performs zero heap allocations. Dropout in training mode is rejected.
+//! * [`Graph`] = `Exec<OwnedTape>` — the training executor. It records each
+//!   value's op and `requires_grad` flag beside it, so [`Graph::backward`]
+//!   can run afterwards. Its values are exact-size allocations, not arena
+//!   buffers (see `Exec::take`).
 //!
-//! **Parity guarantee.** Every `Exec` method on both backends routes through
-//! the same [`kernels`](crate::kernels) functions with the same per-element
-//! arithmetic in the same order (the one fused op, [`Exec::taad_scores`],
-//! runs those kernels panel by panel), so a forward pass produces bit-identical
-//! `f32` values on either backend (asserted end-to-end by
-//! `crates/serve/tests/parity.rs`), and the arena path is bit-identical to
-//! the fresh-alloc path because the `_into` kernels have set semantics —
-//! recycled buffer contents are never read.
+//! **Parity by construction.** Both instantiations run the same method
+//! bodies, so a forward pass produces bit-identical `f32` values on either
+//! (pinned end to end by `crates/serve/tests/parity.rs`). The one op whose
+//! body depends on the tape is [`Exec::taad_scores`]: the tape records the
+//! composition it differentiates, and the serving executor runs the fused
+//! [`kernels::taad_scores_into`], which is bit-identical to it. A warm arena
+//! is bit-identical to a cold one because the `_into` kernels have set
+//! semantics: recycled buffer contents are never read.
+//!
+//! **Profiling.** Each op opens one guard that times it and charges its
+//! FLOPs to the profiler the executor was built for: a recording executor
+//! reports to the tape profiler (`stisan_obs::tape_profiler`), a serving one
+//! to the serve kernel table and flame tree while serve profiling is on
+//! (`stisan_obs::flame`). There is one FLOP convention: `kernels::*_flops`
+//! for the matmuls and the fused decoder; here, `1` per output element for
+//! arithmetic elementwise ops, `4` for transcendental ones, `5` per element
+//! for softmax, `8` for layer norm, `1` per input element for reductions,
+//! and `0` for data movement.
 
 use std::sync::Arc;
+use std::time::Instant;
 
-use rand::rngs::StdRng;
+use rand::Rng;
+use stisan_obs::flame::KernelGuard;
+use stisan_obs::TapeProfiler;
 
-use crate::arena::Arena;
+use crate::arena::{Arena, ArenaStats};
 use crate::array::Array;
 use crate::broadcast::broadcast_shape;
-use crate::graph::{Graph, Var};
+use crate::graph::{Op, Tape, Var};
+#[cfg(doc)]
+use crate::graph::{Graph, NoGrad};
 use crate::kernels;
 use crate::shape::Shape;
 
-/// The closed op-constructor surface a model forward pass needs.
-///
-/// Methods mirror the inherent constructors of [`Graph`] one-for-one (the
-/// provided [`Exec::taad_scores`] is a composition of them); see those for
-/// per-op semantics. Layers and models written against
-/// `&mut Session<'_, E>` (with `E: Exec`) run unchanged on the tape or on
-/// [`NoGrad`].
-pub trait Exec {
-    /// Adds an input node. `requires_grad` marks trainable parameters (a
-    /// no-op hint on backends without gradients).
-    fn leaf(&mut self, value: Array, requires_grad: bool) -> Var;
-    /// The forward value of a node.
-    fn value(&self, v: Var) -> &Array;
-
-    /// Adds a non-trainable input node.
-    fn constant(&mut self, value: Array) -> Var {
-        self.leaf(value, false)
-    }
-    /// Clones a node's value out of the backend, cutting any gradient flow.
-    fn detach(&self, v: Var) -> Array {
-        self.value(v).clone()
-    }
-
-    /// Elementwise sum with broadcasting.
-    fn add(&mut self, a: Var, b: Var) -> Var;
-    /// Elementwise difference with broadcasting.
-    fn sub(&mut self, a: Var, b: Var) -> Var;
-    /// Elementwise product with broadcasting.
-    fn mul(&mut self, a: Var, b: Var) -> Var;
-    /// Multiplies by a scalar constant.
-    fn scale(&mut self, a: Var, c: f32) -> Var;
-    /// Adds a scalar constant.
-    fn add_scalar(&mut self, a: Var, c: f32) -> Var;
-    /// Elementwise negation.
-    fn neg(&mut self, a: Var) -> Var;
-    /// Affine map over the last dimension (`Linear` layer core).
-    fn linear(&mut self, x: Var, w: Var, b: Option<Var>) -> Var;
-    /// 2-D matrix product (alias of [`Exec::linear`] without bias).
-    fn matmul(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).ndim(), 2, "matmul lhs must be 2-D");
-        self.linear(a, b, None)
-    }
-    /// Batched 3-D matrix product.
-    fn bmm(&mut self, a: Var, b: Var) -> Var;
-    /// Transposes the last two dimensions.
-    fn transpose_last2(&mut self, a: Var) -> Var;
-    /// Rectified linear unit.
-    fn relu(&mut self, a: Var) -> Var;
-    /// Logistic sigmoid.
-    fn sigmoid(&mut self, a: Var) -> Var;
-    /// Hyperbolic tangent.
-    fn tanh(&mut self, a: Var) -> Var;
-    /// Elementwise exponential.
-    fn exp(&mut self, a: Var) -> Var;
-    /// Elementwise natural logarithm.
-    fn log(&mut self, a: Var) -> Var;
-    /// Numerically stable softplus `ln(1+e^x)`.
-    fn softplus(&mut self, a: Var) -> Var;
-    /// Softmax over the last dimension.
-    fn softmax_last(&mut self, a: Var) -> Var;
-    /// Sum of all elements (scalar output).
-    fn sum_all(&mut self, a: Var) -> Var;
-    /// Mean of all elements (scalar output).
-    fn mean_all(&mut self, a: Var) -> Var;
-    /// Sum over the last dimension.
-    fn sum_last(&mut self, a: Var) -> Var;
-    /// Sum of a 3-D array over axis 1.
-    fn sum_axis1(&mut self, a: Var) -> Var;
-    /// Max of a 3-D array over axis 1.
-    fn max_axis1(&mut self, a: Var) -> Var;
-    /// Embedding lookup: rows of a 2-D `table` selected by `indices`.
-    fn gather(&mut self, table: Var, indices: &[usize], batch_shape: &[usize]) -> Var;
-    /// Per-row lookup along the last dimension.
-    fn gather_last(&mut self, v: Var, idx: Arc<Vec<usize>>, m_out: usize) -> Var;
-    /// Per-row scatter-add along the last dimension.
-    fn scatter_add_last(&mut self, a: Var, idx: Arc<Vec<usize>>, k_out: usize) -> Var;
-    /// Concatenates along the last dimension.
-    fn concat_last(&mut self, parts: &[Var]) -> Var;
-    /// Slices the last dimension.
-    fn slice_last(&mut self, v: Var, start: usize, len: usize) -> Var;
-    /// Reinterprets the shape.
-    fn reshape(&mut self, v: Var, shape: &[usize]) -> Var;
-    /// Layer normalization over the last dimension with learned scale/shift.
-    fn layer_norm(&mut self, x: Var, alpha: Var, beta: Var, eps: f32) -> Var;
-    /// Elementwise product with a constant array (masking, dropout).
-    fn mul_const(&mut self, a: Var, c: Array) -> Var;
-    /// Elementwise sum with a constant array (attention masks, biases).
-    fn add_const(&mut self, a: Var, c: Array) -> Var;
-    /// Inverted dropout: identity at eval time. Backends without training
-    /// support reject `training = true`.
-    fn dropout(&mut self, a: Var, rate: f32, training: bool, rng: &mut StdRng) -> Var;
-    /// Stacks `k` arrays of shape `[b,d]` into `[b,k,d]`.
-    fn stack_axis1(&mut self, parts: &[Var]) -> Var;
-    /// Extracts time step `idx`: `[b,n,d] -> [b,d]`.
-    fn slice_axis1(&mut self, v: Var, idx: usize) -> Var;
-    /// Sliding-window unfold over axis 1: `[b,n,d] -> [b, n-w+1, w*d]`.
-    fn unfold1(&mut self, v: Var, width: usize) -> Var;
-
-    /// Target-aware attention decoding (GeoSAN's decoder, STiSAN's TAAD,
-    /// paper Eq 10–11): each candidate attends over the sequence positions
-    /// it may see and is scored by the inner product with its attended
-    /// summary, `y = Attn(C, F, F) · C`.
-    ///
-    /// * `f`: `[b, n, d]` encoder output;
-    /// * `c`: `[b, m, d]` candidate representations;
-    /// * `mask`: `[b, m, n]` additive mask (`0` where a candidate may
-    ///   attend, `-1e9` elsewhere).
-    ///
-    /// Returns `[b, m]` scores. This composition is what the tape records
-    /// (and differentiates); [`NoGrad`] overrides it with the fused
-    /// [`kernels::taad_scores_into`], which is bit-identical to it.
-    fn taad_scores(&mut self, f: Var, c: Var, mask: Array) -> Var {
-        let d = self.value(f).shape()[2];
-        let ft = self.transpose_last2(f);
-        let logits = self.bmm(c, ft); // [b, m, n]
-        let logits = self.scale(logits, 1.0 / (d as f32).sqrt());
-        let logits = self.add_const(logits, mask);
-        let w = self.softmax_last(logits);
-        let s = self.bmm(w, f); // [b, m, d]
-        let prod = self.mul(s, c);
-        self.sum_last(prod) // [b, m]
-    }
-
-    /// A free-standing scratch array for building per-request constants
-    /// (masks, positional matrices, interval biases) that will be fed back
-    /// through [`Exec::mul_const`] / [`Exec::add_const`] / [`Exec::constant`].
-    ///
-    /// **Contents are unspecified** — callers must overwrite every element
-    /// before the array is read (the same set-semantics contract as the
-    /// `_into` kernels). The default allocates fresh zeroed storage;
-    /// [`NoGrad`] overrides it to draw from its arena, which is what makes
-    /// request-prep allocation-free on the serving path. Both sources are
-    /// fully overwritten by the caller, so backends stay bit-identical.
-    fn scratch_array(&mut self, shape: &[usize]) -> Array {
-        Array::zeros(Shape::of(shape))
-    }
-
-    /// Offers a constant array's storage back to the backend once the caller
-    /// no longer needs it (e.g. originals of masks whose clones were consumed
-    /// by `add_const` during the block loop). Default: plain drop. [`NoGrad`]
-    /// recycles unique storages into its arena; shared ones are dropped
-    /// harmlessly.
-    fn recycle_const(&mut self, c: Array) {
-        drop(c);
-    }
+/// Where an executor reports each op's forward cost.
+pub(crate) enum Profiler {
+    Off,
+    /// A tape profiler; backward reports per-op time here too.
+    Tape(Arc<TapeProfiler>),
+    /// The serve kernel table and flame tree.
+    Serve,
 }
 
-impl Exec for Graph {
-    fn leaf(&mut self, value: Array, requires_grad: bool) -> Var {
-        Graph::leaf(self, value, requires_grad)
-    }
-    fn value(&self, v: Var) -> &Array {
-        Graph::value(self, v)
-    }
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        Graph::add(self, a, b)
-    }
-    fn sub(&mut self, a: Var, b: Var) -> Var {
-        Graph::sub(self, a, b)
-    }
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        Graph::mul(self, a, b)
-    }
-    fn scale(&mut self, a: Var, c: f32) -> Var {
-        Graph::scale(self, a, c)
-    }
-    fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        Graph::add_scalar(self, a, c)
-    }
-    fn neg(&mut self, a: Var) -> Var {
-        Graph::neg(self, a)
-    }
-    fn linear(&mut self, x: Var, w: Var, b: Option<Var>) -> Var {
-        Graph::linear(self, x, w, b)
-    }
-    fn bmm(&mut self, a: Var, b: Var) -> Var {
-        Graph::bmm(self, a, b)
-    }
-    fn transpose_last2(&mut self, a: Var) -> Var {
-        Graph::transpose_last2(self, a)
-    }
-    fn relu(&mut self, a: Var) -> Var {
-        Graph::relu(self, a)
-    }
-    fn sigmoid(&mut self, a: Var) -> Var {
-        Graph::sigmoid(self, a)
-    }
-    fn tanh(&mut self, a: Var) -> Var {
-        Graph::tanh(self, a)
-    }
-    fn exp(&mut self, a: Var) -> Var {
-        Graph::exp(self, a)
-    }
-    fn log(&mut self, a: Var) -> Var {
-        Graph::log(self, a)
-    }
-    fn softplus(&mut self, a: Var) -> Var {
-        Graph::softplus(self, a)
-    }
-    fn softmax_last(&mut self, a: Var) -> Var {
-        Graph::softmax_last(self, a)
-    }
-    fn sum_all(&mut self, a: Var) -> Var {
-        Graph::sum_all(self, a)
-    }
-    fn mean_all(&mut self, a: Var) -> Var {
-        Graph::mean_all(self, a)
-    }
-    fn sum_last(&mut self, a: Var) -> Var {
-        Graph::sum_last(self, a)
-    }
-    fn sum_axis1(&mut self, a: Var) -> Var {
-        Graph::sum_axis1(self, a)
-    }
-    fn max_axis1(&mut self, a: Var) -> Var {
-        Graph::max_axis1(self, a)
-    }
-    fn gather(&mut self, table: Var, indices: &[usize], batch_shape: &[usize]) -> Var {
-        Graph::gather(self, table, indices, batch_shape)
-    }
-    fn gather_last(&mut self, v: Var, idx: Arc<Vec<usize>>, m_out: usize) -> Var {
-        Graph::gather_last(self, v, idx, m_out)
-    }
-    fn scatter_add_last(&mut self, a: Var, idx: Arc<Vec<usize>>, k_out: usize) -> Var {
-        Graph::scatter_add_last(self, a, idx, k_out)
-    }
-    fn concat_last(&mut self, parts: &[Var]) -> Var {
-        Graph::concat_last(self, parts)
-    }
-    fn slice_last(&mut self, v: Var, start: usize, len: usize) -> Var {
-        Graph::slice_last(self, v, start, len)
-    }
-    fn reshape(&mut self, v: Var, shape: &[usize]) -> Var {
-        Graph::reshape(self, v, shape)
-    }
-    fn layer_norm(&mut self, x: Var, alpha: Var, beta: Var, eps: f32) -> Var {
-        Graph::layer_norm(self, x, alpha, beta, eps)
-    }
-    fn mul_const(&mut self, a: Var, c: Array) -> Var {
-        Graph::mul_const(self, a, c)
-    }
-    fn add_const(&mut self, a: Var, c: Array) -> Var {
-        Graph::add_const(self, a, c)
-    }
-    fn dropout(&mut self, a: Var, rate: f32, training: bool, rng: &mut StdRng) -> Var {
-        Graph::dropout(self, a, rate, training, rng)
-    }
-    fn stack_axis1(&mut self, parts: &[Var]) -> Var {
-        Graph::stack_axis1(self, parts)
-    }
-    fn slice_axis1(&mut self, v: Var, idx: usize) -> Var {
-        Graph::slice_axis1(self, v, idx)
-    }
-    fn unfold1(&mut self, v: Var, width: usize) -> Var {
-        Graph::unfold1(self, v, width)
+/// One op's profiling guard: charges the op's wall time and FLOPs to the
+/// executor's profiler when dropped.
+struct OpGuard {
+    tape: Option<(Arc<TapeProfiler>, &'static str, u64, Instant)>,
+    _serve: Option<KernelGuard>,
+}
+
+impl Drop for OpGuard {
+    fn drop(&mut self) {
+        if let Some((profiler, kind, flops, t0)) = &self.tape {
+            profiler.record_forward(kind, t0.elapsed().as_nanos() as u64, *flops);
+        }
     }
 }
 
@@ -298,51 +80,60 @@ fn buf_mut(arc: &mut Arc<Vec<f32>>) -> &mut [f32] {
     Arc::make_mut(arc).as_mut_slice()
 }
 
-/// The tape-free inference backend: stores forward values only.
+/// The output shape of a broadcasting binary op.
+#[inline]
+fn zip_shape(a: &Array, b: &Array) -> Shape {
+    if a.shape() == b.shape() {
+        a.shape_inline()
+    } else {
+        broadcast_shape(a.shape(), b.shape())
+    }
+}
+
+/// The forward executor over tape `T` (see the module documentation).
 ///
-/// Compared to [`Graph`], a `NoGrad` pass allocates no op metadata, no
-/// gradient slots and never touches the tape profiler; `backward` simply
-/// does not exist on it. Dropout is rejected in training mode — this backend
-/// is for frozen weights.
-///
-/// Every op requests its output buffer from the backend's [`Arena`] and
-/// writes it with the set-semantics `_into` kernels. [`NoGrad::new`] starts
-/// with an empty arena (every request allocates, exactly like before);
-/// [`NoGrad::with_arena`] resumes a pool recycled from a previous pass via
-/// [`NoGrad::into_arena`], which is what makes steady-state serving
-/// allocation-free. Both paths run the same kernels over buffers whose prior
-/// contents are never read, so their outputs are bit-identical.
-///
-/// When serve-path profiling is on (`stisan_obs::flame`), each op is
-/// timed into the per-kernel cost table and the flame tree. The flag is
-/// captured once per backend at construction — one relaxed atomic load —
-/// so the disabled path adds a single branch per op and nothing else.
-pub struct NoGrad {
+/// Shape errors panic with descriptive messages before any work is done.
+pub struct Exec<T: Tape> {
     vals: Vec<Array>,
-    /// Serve-path profiling flag, captured at construction.
-    prof: bool,
+    pub(crate) tape: T,
+    pub(crate) prof: Profiler,
     arena: Arena,
 }
 
-impl Default for NoGrad {
+impl<T: Tape> Default for Exec<T> {
     fn default() -> Self {
-        NoGrad::new()
+        Exec::new()
     }
 }
 
-impl NoGrad {
-    /// An empty inference backend with a cold (empty) arena.
+impl<T: Tape> Exec<T> {
+    /// An executor with a cold (empty) arena. A recording executor attaches
+    /// the global tape profiler when observability is on (see
+    /// `stisan_obs::init`); a serving one reports to the serve kernel table
+    /// when serve profiling is on. Either way the choice is made once, here,
+    /// and a disabled profiler costs one branch per op.
     pub fn new() -> Self {
-        NoGrad::with_arena(Arena::new())
+        Exec::with_arena(Arena::new())
     }
 
-    /// An inference backend that draws scratch buffers from `arena`.
+    /// An executor that draws every output buffer from `arena`.
     pub fn with_arena(mut arena: Arena) -> Self {
-        let vals = arena.take_vals();
-        NoGrad { vals, prof: stisan_obs::serve_profiling(), arena }
+        let prof = if T::RECORDS {
+            stisan_obs::tape_profiler().map_or(Profiler::Off, Profiler::Tape)
+        } else if stisan_obs::serve_profiling() {
+            Profiler::Serve
+        } else {
+            Profiler::Off
+        };
+        Exec { vals: arena.take_vals(), tape: T::default(), prof, arena }
     }
 
-    /// Tears the backend down, recycling every node value's storage into the
+    /// Reports to an explicit tape profiler (e.g. a run-local one in tests).
+    pub fn set_profiler(&mut self, profiler: Arc<TapeProfiler>) {
+        self.prof = Profiler::Tape(profiler);
+    }
+
+    /// Tears the executor down, recycling every value's storage into the
     /// arena and returning it for the next pass.
     pub fn into_arena(mut self) -> Arena {
         let vals = std::mem::take(&mut self.vals);
@@ -351,51 +142,78 @@ impl NoGrad {
     }
 
     /// Counters of the backing arena (pool hits/misses/drops).
-    pub fn arena_stats(&self) -> crate::arena::ArenaStats {
+    pub fn arena_stats(&self) -> ArenaStats {
         self.arena.stats()
     }
 
-    /// Number of computed nodes.
+    /// Number of computed values.
     pub fn len(&self) -> usize {
         self.vals.len()
     }
 
-    /// Whether no nodes have been computed yet.
+    /// Whether no values have been computed yet.
     pub fn is_empty(&self) -> bool {
         self.vals.is_empty()
     }
 
-    fn push(&mut self, v: Array) -> Var {
-        self.vals.push(v);
+    /// Appends a value and records the op that made it.
+    fn push(&mut self, value: Array, requires_grad: bool, op: impl FnOnce() -> Op) -> Var {
+        self.tape.record(requires_grad, op);
+        self.vals.push(value);
         Var(self.vals.len() - 1)
     }
 
-    /// `per_elem` FLOPs per input element when profiling, else 0. Matches
-    /// the tape profiler's elementwise conventions (`graph.rs::op_flops`).
+    /// Whether `v` needs a gradient (never, on a tape that does not record).
     #[inline]
-    fn ew_flops(&self, a: Var, per_elem: u64) -> u64 {
-        if self.prof { per_elem * self.value(a).len() as u64 } else { 0 }
+    pub(crate) fn rg(&self, v: Var) -> bool {
+        self.tape.requires_grad(v)
     }
 
-    /// Elementwise FLOPs of a broadcasting binary op: `per_elem` per output
-    /// element, with the output length taken as the larger operand's.
+    /// Storage for an `n`-float value. The serving executor draws it from its
+    /// arena. A recording one allocates it exactly: a tape keeps every value
+    /// until backward, so a per-step arena would hand each buffer out once,
+    /// and its power-of-two buffers left the trainer's process 10–12 MB
+    /// larger (`serving_rss_mb` on the 10k-POI workloads of `BENCHMARK.json`).
     #[inline]
-    fn ew_flops2(&self, a: Var, b: Var, per_elem: u64) -> u64 {
-        if self.prof {
-            per_elem * self.value(a).len().max(self.value(b).len()) as u64
+    fn take(&mut self, n: usize) -> Arc<Vec<f32>> {
+        if T::RECORDS {
+            Arc::new(vec![0.0; n])
         } else {
-            0
+            self.arena.take(n)
         }
     }
 
-    /// Profiling guard for one kernel, when profiling is on. Kind names
-    /// match [`Graph`]'s op kinds so tape and serve profiles line up.
     #[inline]
-    fn guard(&self, kind: &'static str, flops: u64) -> Option<stisan_obs::flame::KernelGuard> {
-        if self.prof { Some(stisan_obs::flame::kernel(kind, flops)) } else { None }
+    fn guard(&self, kind: &'static str, flops: u64) -> OpGuard {
+        match &self.prof {
+            Profiler::Off => OpGuard { tape: None, _serve: None },
+            Profiler::Tape(p) => {
+                OpGuard { tape: Some((Arc::clone(p), kind, flops, Instant::now())), _serve: None }
+            }
+            Profiler::Serve => {
+                OpGuard { tape: None, _serve: Some(stisan_obs::flame::kernel(kind, flops)) }
+            }
+        }
     }
 
-    /// Unary elementwise op through the arena.
+    /// The body every buffer-producing op shares: under one `kind` guard
+    /// charged `flops`, `kernel` fills a buffer of shape `sh`.
+    #[inline]
+    fn compute(
+        &mut self,
+        kind: &'static str,
+        flops: u64,
+        sh: Shape,
+        kernel: impl FnOnce(&Self, &mut [f32]),
+    ) -> Array {
+        let g = self.guard(kind, flops);
+        let mut buf = self.take(sh.numel());
+        kernel(self, buf_mut(&mut buf));
+        drop(g);
+        Array::from_arc(sh, buf)
+    }
+
+    /// Unary elementwise op: `per_elem` FLOPs per element.
     #[inline]
     fn map_op(
         &mut self,
@@ -403,148 +221,131 @@ impl NoGrad {
         a: Var,
         per_elem: u64,
         f: impl Fn(f32) -> f32,
+        op: impl FnOnce() -> Op,
     ) -> Var {
-        let fl = self.ew_flops(a, per_elem);
-        let g = self.guard(kind, fl);
         let sh = self.value(a).shape_inline();
-        let mut buf = self.arena.take(sh.numel());
-        kernels::map_into(self.value(a).data(), buf_mut(&mut buf), f);
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        let v = self.compute(kind, per_elem * sh.numel() as u64, sh, |e, out| {
+            kernels::map_into(e.value(a).data(), out, f)
+        });
+        self.push(v, self.rg(a), op)
     }
 
-    /// Broadcasting binary elementwise op through the arena.
+    /// Broadcasting binary elementwise op: one FLOP per output element.
     #[inline]
-    fn zip_op(&mut self, kind: &'static str, a: Var, b: Var, f: impl Fn(f32, f32) -> f32) -> Var {
-        let fl = self.ew_flops2(a, b, 1);
-        let g = self.guard(kind, fl);
-        let sh = {
-            let (av, bv) = (self.value(a), self.value(b));
-            if av.shape() == bv.shape() {
-                av.shape_inline()
-            } else {
-                broadcast_shape(av.shape(), bv.shape())
-            }
-        };
-        let mut buf = self.arena.take(sh.numel());
-        {
-            let (av, bv) = (self.value(a), self.value(b));
-            kernels::zip_into(av.data(), av.shape(), bv.data(), bv.shape(), &sh, buf_mut(&mut buf), f);
-        }
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
-    }
-
-    /// Binary elementwise op against a constant array. The constant's
-    /// storage is offered back to the arena afterwards (it is usually a
-    /// per-request mask; shared or foreign storages are simply dropped).
-    #[inline]
-    fn zip_const_op(
+    fn zip_op(
         &mut self,
         kind: &'static str,
         a: Var,
-        c: Array,
+        b: Var,
         f: impl Fn(f32, f32) -> f32,
+        op: impl FnOnce() -> Op,
     ) -> Var {
-        let fl = if self.prof { self.value(a).len().max(c.len()) as u64 } else { 0 };
-        let g = self.guard(kind, fl);
-        let sh = {
-            let av = self.value(a);
-            if av.shape() == c.shape() {
-                av.shape_inline()
-            } else {
-                broadcast_shape(av.shape(), c.shape())
-            }
-        };
-        let mut buf = self.arena.take(sh.numel());
-        {
-            let av = self.value(a);
-            kernels::zip_into(av.data(), av.shape(), c.data(), c.shape(), &sh, buf_mut(&mut buf), f);
-        }
-        drop(g);
-        self.arena.recycle(c.into_data());
-        self.push(Array::from_arc(sh, buf))
+        let sh = zip_shape(self.value(a), self.value(b));
+        let v = self.compute(kind, sh.numel() as u64, sh, |e, out| {
+            let (av, bv) = (e.value(a), e.value(b));
+            kernels::zip_into(av.data(), av.shape(), bv.data(), bv.shape(), &sh, out, f)
+        });
+        self.push(v, self.rg(a) || self.rg(b), op)
     }
-}
 
-impl Exec for NoGrad {
-    fn leaf(&mut self, value: Array, _requires_grad: bool) -> Var {
-        self.push(value)
+    /// Broadcasting binary elementwise op against a constant array: one
+    /// FLOP per output element.
+    #[inline]
+    fn zip_const(&mut self, kind: &'static str, a: Var, c: &Array, f: impl Fn(f32, f32) -> f32) -> Array {
+        let sh = zip_shape(self.value(a), c);
+        self.compute(kind, sh.numel() as u64, sh, |e, out| {
+            let av = e.value(a);
+            kernels::zip_into(av.data(), av.shape(), c.data(), c.shape(), &sh, out, f)
+        })
     }
-    fn value(&self, v: Var) -> &Array {
+
+    /// Adds an input node. `requires_grad` marks trainable parameters (a
+    /// no-op on a tape that does not record).
+    pub fn leaf(&mut self, value: Array, requires_grad: bool) -> Var {
+        self.push(value, requires_grad, || Op::Leaf)
+    }
+
+    /// Adds a non-trainable input node.
+    pub fn constant(&mut self, value: Array) -> Var {
+        self.leaf(value, false)
+    }
+
+    /// The forward value of a node.
+    pub fn value(&self, v: Var) -> &Array {
         &self.vals[v.0]
     }
-    fn add(&mut self, a: Var, b: Var) -> Var {
-        self.zip_op("add", a, b, |x, y| x + y)
+
+    /// Clones a node's value out of the executor, cutting any gradient flow.
+    pub fn detach(&self, v: Var) -> Array {
+        self.value(v).clone()
     }
-    fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.zip_op("sub", a, b, |x, y| x - y)
+
+    /// Elementwise sum with broadcasting.
+    pub fn add(&mut self, a: Var, b: Var) -> Var {
+        self.zip_op("add", a, b, |x, y| x + y, || Op::Add(a, b))
     }
-    fn mul(&mut self, a: Var, b: Var) -> Var {
-        self.zip_op("mul", a, b, |x, y| x * y)
+
+    /// Elementwise difference with broadcasting.
+    pub fn sub(&mut self, a: Var, b: Var) -> Var {
+        self.zip_op("sub", a, b, |x, y| x - y, || Op::Sub(a, b))
     }
-    fn scale(&mut self, a: Var, c: f32) -> Var {
-        self.map_op("scale", a, 1, |x| x * c)
+
+    /// Elementwise product with broadcasting.
+    pub fn mul(&mut self, a: Var, b: Var) -> Var {
+        self.zip_op("mul", a, b, |x, y| x * y, || Op::Mul(a, b))
     }
-    fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        self.map_op("add_scalar", a, 1, |x| x + c)
+
+    /// Multiplies by a scalar constant.
+    pub fn scale(&mut self, a: Var, c: f32) -> Var {
+        self.map_op("scale", a, 1, |x| x * c, || Op::Scale(a, c))
     }
-    // Not `-x`: the tape's neg is `scale(-1.0)`, and the two differ on NaN
-    // payloads — the multiply keeps frozen values bit-identical to the tape.
+
+    /// Adds a scalar constant.
+    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
+        self.map_op("add_scalar", a, 1, |x| x + c, || Op::AddScalar(a))
+    }
+
+    /// Elementwise negation. A multiply by `-1`, not `-x`: the two differ
+    /// on NaN payloads, and the multiply is what `scale(-1.0)` computes.
     #[allow(clippy::neg_multiply)]
-    fn neg(&mut self, a: Var) -> Var {
-        self.map_op("neg", a, 1, |x| x * -1.0)
+    pub fn neg(&mut self, a: Var) -> Var {
+        self.map_op("neg", a, 1, |x| x * -1.0, || Op::Neg(a))
     }
-    fn linear(&mut self, x: Var, w: Var, b: Option<Var>) -> Var {
-        let fl = if self.prof {
-            kernels::linear_flops(self.value(x), self.value(w), b.is_some())
-        } else {
-            0
-        };
-        let g = self.guard("linear", fl);
-        // A 1-D bias of the output width (every layer in this repo) takes
-        // the fused arena path; any other broadcastable bias falls back to
-        // the allocating kernel — both identical to `linear_forward`.
-        let fused = match b {
-            None => true,
-            Some(bv) => {
-                let (bvv, wv) = (self.value(bv), self.value(w));
-                wv.ndim() == 2 && bvv.ndim() == 1 && bvv.len() == wv.shape()[1]
+
+    /// Affine map over the last dimension (`Linear` layer core): `x: [.., k]`,
+    /// `w: [k, f]` and an optional bias `b: [f]`.
+    pub fn linear(&mut self, x: Var, w: Var, b: Option<Var>) -> Var {
+        let (sh, rows, k, f_dim) = {
+            let (xv, wv) = (self.value(x), self.value(w));
+            assert_eq!(wv.ndim(), 2, "matmul_last: weight must be 2-D");
+            let k = *xv.shape().last().expect("matmul_last: scalar input");
+            assert_eq!(k, wv.shape()[0], "matmul_last: inner dims {k} vs {}", wv.shape()[0]);
+            let f_dim = wv.shape()[1];
+            if let Some(b) = b {
+                assert_eq!(self.value(b).shape(), &[f_dim], "linear: bias must be [{f_dim}]");
             }
+            let mut sh = xv.shape_inline();
+            let nd = sh.len();
+            sh[nd - 1] = f_dim;
+            (sh, xv.len() / k, k, f_dim)
         };
-        let out = if fused {
-            let (sh, rows, k, f_dim) = {
-                let (xv, wv) = (self.value(x), self.value(w));
-                assert_eq!(wv.ndim(), 2, "matmul_last: weight must be 2-D");
-                let k = *xv.shape().last().expect("matmul_last: scalar input");
-                assert_eq!(k, wv.shape()[0], "matmul_last: inner dims {k} vs {}", wv.shape()[0]);
-                let f_dim = wv.shape()[1];
-                let rows = xv.len() / k;
-                let mut sh = xv.shape_inline();
-                let nd = sh.len();
-                sh[nd - 1] = f_dim;
-                (sh, rows, k, f_dim)
-            };
-            let mut buf = self.arena.take(sh.numel());
-            kernels::linear_forward_into(
-                self.value(x).data(),
-                self.value(w).data(),
-                b.map(|bv| self.value(bv).data()),
-                buf_mut(&mut buf),
-                rows,
-                k,
-                f_dim,
-            );
-            Array::from_arc(sh, buf)
-        } else {
-            kernels::linear_forward(self.value(x), self.value(w), b.map(|bv| self.value(bv)))
-        };
-        drop(g);
-        self.push(out)
+        let flops = kernels::linear_flops(self.value(x), self.value(w), b.is_some());
+        let v = self.compute("linear", flops, sh, |e, out| {
+            let bias = b.map(|b| e.value(b).data());
+            kernels::linear_forward_into(e.value(x).data(), e.value(w).data(), bias, out, rows, k, f_dim)
+        });
+        let rg = self.rg(x) || self.rg(w) || b.is_some_and(|b| self.rg(b));
+        self.push(v, rg, || Op::Linear { x, w, b })
     }
-    fn bmm(&mut self, a: Var, b: Var) -> Var {
-        let fl = if self.prof { kernels::bmm_flops(self.value(a), self.value(b)) } else { 0 };
-        let g = self.guard("bmm", fl);
+
+    /// 2-D matrix product (alias of [`Exec::linear`] without bias).
+    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        assert_eq!(self.value(a).ndim(), 2, "matmul lhs must be 2-D");
+        self.linear(a, b, None)
+    }
+
+    /// Batched 3-D matrix product.
+    pub fn bmm(&mut self, a: Var, b: Var) -> Var {
         let (bsz, m, k, n) = {
             let (av, bv) = (self.value(a), self.value(b));
             assert_eq!(av.ndim(), 3, "bmm lhs must be 3-D, got {:?}", av.shape());
@@ -555,21 +356,15 @@ impl Exec for NoGrad {
             assert_eq!(k, k2, "bmm: inner dims {k} vs {k2}");
             (bsz, m, k, n)
         };
-        let mut buf = self.arena.take(bsz * m * n);
-        kernels::bmm_into(
-            self.value(a).data(),
-            self.value(b).data(),
-            buf_mut(&mut buf),
-            bsz,
-            m,
-            k,
-            n,
-        );
-        drop(g);
-        self.push(Array::from_arc(Shape::of(&[bsz, m, n]), buf))
+        let flops = kernels::bmm_flops(self.value(a), self.value(b));
+        let v = self.compute("bmm", flops, Shape::of(&[bsz, m, n]), |e, out| {
+            kernels::bmm_into(e.value(a).data(), e.value(b).data(), out, bsz, m, k, n)
+        });
+        self.push(v, self.rg(a) || self.rg(b), || Op::Bmm(a, b))
     }
-    fn transpose_last2(&mut self, a: Var) -> Var {
-        let g = self.guard("transpose", 0);
+
+    /// Transposes the last two dimensions.
+    pub fn transpose_last2(&mut self, a: Var) -> Var {
         let (batch, r, c, sh) = {
             let av = self.value(a);
             let nd = av.ndim();
@@ -580,158 +375,158 @@ impl Exec for NoGrad {
             sh.swap(nd - 2, nd - 1);
             (batch, r, c, sh)
         };
-        let mut buf = self.arena.take(sh.numel());
-        kernels::transpose_last2_into(self.value(a).data(), buf_mut(&mut buf), batch, r, c);
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        let v = self.compute("transpose", 0, sh, |e, out| {
+            kernels::transpose_last2_into(e.value(a).data(), out, batch, r, c)
+        });
+        self.push(v, self.rg(a), || Op::TransposeLast2(a))
     }
-    fn relu(&mut self, a: Var) -> Var {
-        self.map_op("relu", a, 1, |x| x.max(0.0))
+
+    /// Rectified linear unit.
+    pub fn relu(&mut self, a: Var) -> Var {
+        self.map_op("relu", a, 1, |x| x.max(0.0), || Op::Relu(a))
     }
-    fn sigmoid(&mut self, a: Var) -> Var {
-        self.map_op("sigmoid", a, 4, kernels::stable_sigmoid)
+
+    /// Logistic sigmoid.
+    pub fn sigmoid(&mut self, a: Var) -> Var {
+        self.map_op("sigmoid", a, 4, kernels::stable_sigmoid, || Op::Sigmoid(a))
     }
-    fn tanh(&mut self, a: Var) -> Var {
-        self.map_op("tanh", a, 4, f32::tanh)
+
+    /// Hyperbolic tangent.
+    pub fn tanh(&mut self, a: Var) -> Var {
+        self.map_op("tanh", a, 4, f32::tanh, || Op::Tanh(a))
     }
-    fn exp(&mut self, a: Var) -> Var {
-        self.map_op("exp", a, 4, f32::exp)
+
+    /// Elementwise exponential.
+    pub fn exp(&mut self, a: Var) -> Var {
+        self.map_op("exp", a, 4, f32::exp, || Op::Exp(a))
     }
-    fn log(&mut self, a: Var) -> Var {
-        self.map_op("log", a, 4, f32::ln)
+
+    /// Elementwise natural logarithm.
+    pub fn log(&mut self, a: Var) -> Var {
+        self.map_op("log", a, 4, f32::ln, || Op::Log(a))
     }
-    fn softplus(&mut self, a: Var) -> Var {
-        self.map_op("softplus", a, 4, kernels::softplus_scalar)
+
+    /// Numerically stable softplus `ln(1+e^x)`.
+    pub fn softplus(&mut self, a: Var) -> Var {
+        self.map_op("softplus", a, 4, kernels::softplus_scalar, || Op::Softplus(a))
     }
-    fn softmax_last(&mut self, a: Var) -> Var {
-        let fl = self.ew_flops(a, 5);
-        let g = self.guard("softmax", fl);
+
+    /// Softmax over the last dimension.
+    pub fn softmax_last(&mut self, a: Var) -> Var {
         let (w, sh) = {
             let av = self.value(a);
-            let w = *av.shape().last().expect("softmax_last: scalar input");
-            (w, av.shape_inline())
+            (*av.shape().last().expect("softmax_last: scalar input"), av.shape_inline())
         };
-        let mut buf = self.arena.take(sh.numel());
-        kernels::softmax_last_into(self.value(a).data(), buf_mut(&mut buf), w);
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        let v = self.compute("softmax", 5 * sh.numel() as u64, sh, |e, out| {
+            kernels::softmax_last_into(e.value(a).data(), out, w)
+        });
+        self.push(v, self.rg(a), || Op::SoftmaxLast(a))
     }
-    fn sum_all(&mut self, a: Var) -> Var {
-        let fl = self.ew_flops(a, 1);
-        let g = self.guard("sum_all", fl);
-        let s = self.value(a).sum_all();
-        let mut buf = self.arena.take(1);
-        buf_mut(&mut buf)[0] = s;
-        drop(g);
-        self.push(Array::from_arc(Shape::scalar(), buf))
+
+    /// Sum of all elements (scalar output).
+    pub fn sum_all(&mut self, a: Var) -> Var {
+        let flops = self.value(a).len() as u64;
+        let v = self.compute("sum_all", flops, Shape::scalar(), |e, out| out[0] = e.value(a).sum_all());
+        self.push(v, self.rg(a), || Op::SumAll(a))
     }
-    fn mean_all(&mut self, a: Var) -> Var {
-        let fl = self.ew_flops(a, 1);
-        let g = self.guard("mean_all", fl);
-        let s = self.value(a).mean_all();
-        let mut buf = self.arena.take(1);
-        buf_mut(&mut buf)[0] = s;
-        drop(g);
-        self.push(Array::from_arc(Shape::scalar(), buf))
+
+    /// Mean of all elements (scalar output).
+    pub fn mean_all(&mut self, a: Var) -> Var {
+        let flops = self.value(a).len() as u64;
+        let v = self.compute("mean_all", flops, Shape::scalar(), |e, out| out[0] = e.value(a).mean_all());
+        self.push(v, self.rg(a), || Op::MeanAll(a))
     }
-    fn sum_last(&mut self, a: Var) -> Var {
-        let fl = self.ew_flops(a, 1);
-        let g = self.guard("sum_last", fl);
-        let (w, rows, sh) = {
+
+    /// Sum over the last dimension.
+    pub fn sum_last(&mut self, a: Var) -> Var {
+        let (w, flops, sh) = {
             let av = self.value(a);
             let w = *av.shape().last().expect("sum_last: scalar input");
-            let rows = av.len() / w.max(1);
-            (w, rows, Shape::of(&av.shape()[..av.ndim() - 1]))
+            (w, av.len() as u64, Shape::of(&av.shape()[..av.ndim() - 1]))
         };
-        let mut buf = self.arena.take(rows);
-        kernels::sum_last_into(self.value(a).data(), buf_mut(&mut buf), w);
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        let v = self.compute("sum_last", flops, sh, |e, out| kernels::sum_last_into(e.value(a).data(), out, w));
+        self.push(v, self.rg(a), || Op::SumLast(a))
     }
-    fn sum_axis1(&mut self, a: Var) -> Var {
-        let fl = self.ew_flops(a, 1);
-        let g = self.guard("sum_axis1", fl);
-        let (b, n, d) = {
-            let av = self.value(a);
-            assert_eq!(av.ndim(), 3, "sum_axis1 requires a 3-D array");
-            (av.shape()[0], av.shape()[1], av.shape()[2])
-        };
-        let mut buf = self.arena.take(b * d);
-        kernels::sum_axis1_into(self.value(a).data(), buf_mut(&mut buf), b, n, d);
-        drop(g);
-        self.push(Array::from_arc(Shape::of(&[b, d]), buf))
+
+    /// `[b, n, d]` dims of a 3-D value.
+    fn dims3(&self, v: Var, what: &str) -> (usize, usize, usize) {
+        let s = self.value(v).shape();
+        assert_eq!(s.len(), 3, "{what}: input must be 3-D, got {s:?}");
+        (s[0], s[1], s[2])
     }
-    fn max_axis1(&mut self, a: Var) -> Var {
-        let fl = self.ew_flops(a, 1);
-        let g = self.guard("max_axis1", fl);
-        let (b, n, d) = {
-            let av = self.value(a);
-            assert_eq!(av.ndim(), 3, "max_axis1 requires a 3-D array");
-            (av.shape()[0], av.shape()[1], av.shape()[2])
-        };
-        let mut buf = self.arena.take(b * d);
-        kernels::max_axis1_into(self.value(a).data(), buf_mut(&mut buf), b, n, d);
-        drop(g);
-        self.push(Array::from_arc(Shape::of(&[b, d]), buf))
+
+    /// Sum of a 3-D array over axis 1.
+    pub fn sum_axis1(&mut self, a: Var) -> Var {
+        let (b, n, d) = self.dims3(a, "sum_axis1");
+        let v = self.compute("sum_axis1", (b * n * d) as u64, Shape::of(&[b, d]), |e, out| {
+            kernels::sum_axis1_into(e.value(a).data(), out, b, n, d)
+        });
+        self.push(v, self.rg(a), || Op::SumAxis1(a))
     }
-    fn gather(&mut self, table: Var, indices: &[usize], batch_shape: &[usize]) -> Var {
-        let g = self.guard("gather", 0);
+
+    /// Max of a 3-D array over axis 1 (time-dimension max pooling).
+    pub fn max_axis1(&mut self, a: Var) -> Var {
+        let (b, n, d) = self.dims3(a, "max_axis1");
+        let v = self.compute("max_axis1", (b * n * d) as u64, Shape::of(&[b, d]), |e, out| {
+            kernels::max_axis1_into(e.value(a).data(), out, b, n, d)
+        });
+        self.push(v, self.rg(a), || Op::MaxAxis1(a))
+    }
+
+    /// Embedding lookup: rows of a 2-D `table` selected by `indices`, shaped
+    /// `batch_shape + [d]`.
+    pub fn gather(&mut self, table: Var, indices: &[usize], batch_shape: &[usize]) -> Var {
         let (t_rows, d) = {
             let t = self.value(table);
             assert_eq!(t.ndim(), 2, "gather: table must be 2-D");
             (t.shape()[0], t.shape()[1])
         };
         let rows: usize = batch_shape.iter().product();
-        assert_eq!(
-            rows,
-            indices.len(),
-            "gather: batch shape {batch_shape:?} vs {} indices",
-            indices.len()
-        );
+        assert_eq!(rows, indices.len(), "gather: batch shape {batch_shape:?} vs {} indices", indices.len());
         let mut sh = Shape::of(batch_shape);
         sh.push(d);
-        let mut buf = self.arena.take(rows * d);
-        kernels::gather_rows_into(self.value(table).data(), t_rows, d, indices, buf_mut(&mut buf));
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        let v = self.compute("gather", 0, sh, |e, out| {
+            kernels::gather_rows_into(e.value(table).data(), t_rows, d, indices, out)
+        });
+        self.push(v, self.rg(table), || Op::Gather { table, indices: Arc::new(indices.to_vec()) })
     }
-    fn gather_last(&mut self, v: Var, idx: Arc<Vec<usize>>, m_out: usize) -> Var {
-        let g = self.guard("gather_last", 0);
-        let (k, rows, sh) = {
-            let vv = self.value(v);
-            let k = *vv.shape().last().expect("gather_last: scalar input");
-            let rows = vv.len() / k;
-            let mut sh = vv.shape_inline();
-            let nd = sh.len();
-            sh[nd - 1] = m_out;
-            (k, rows, sh)
-        };
+
+    /// `(rows, last dim, shape)` of `v` with its last dimension replaced by
+    /// `last`.
+    fn last_dim_swapped(&self, v: Var, last: usize, what: &str) -> (usize, usize, Shape) {
+        let vv = self.value(v);
+        let w = *vv.shape().last().unwrap_or_else(|| panic!("{what}: scalar input"));
+        let mut sh = vv.shape_inline();
+        let nd = sh.len();
+        sh[nd - 1] = last;
+        (vv.len() / w, w, sh)
+    }
+
+    /// Per-row lookup along the last dimension:
+    /// `v: [..., K]`, `idx: flat [rows * m_out]` → `out: [..., m_out]`.
+    pub fn gather_last(&mut self, v: Var, idx: Arc<Vec<usize>>, m_out: usize) -> Var {
+        let (rows, k, sh) = self.last_dim_swapped(v, m_out, "gather_last");
         assert_eq!(idx.len(), rows * m_out, "gather_last: index count mismatch");
-        let mut buf = self.arena.take(rows * m_out);
-        kernels::gather_last_into(self.value(v).data(), k, &idx, m_out, buf_mut(&mut buf));
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        let out = self.compute("gather_last", 0, sh, |e, out| {
+            kernels::gather_last_into(e.value(v).data(), k, &idx, m_out, out)
+        });
+        self.push(out, self.rg(v), || Op::GatherLast { v, idx, m_out })
     }
-    fn scatter_add_last(&mut self, a: Var, idx: Arc<Vec<usize>>, k_out: usize) -> Var {
-        let fl = self.ew_flops(a, 1);
-        let g = self.guard("scatter_add_last", fl);
-        let (m, rows, sh) = {
-            let av = self.value(a);
-            let m = *av.shape().last().expect("scatter_add_last: scalar input");
-            let rows = av.len() / m;
-            let mut sh = av.shape_inline();
-            let nd = sh.len();
-            sh[nd - 1] = k_out;
-            (m, rows, sh)
-        };
+
+    /// Per-row scatter-add along the last dimension (dual of `gather_last`):
+    /// `a: [..., M]`, `idx: flat [rows * M]` → `out: [..., k_out]` where
+    /// `out[r, idx[r,m]] += a[r, m]`.
+    pub fn scatter_add_last(&mut self, a: Var, idx: Arc<Vec<usize>>, k_out: usize) -> Var {
+        let (rows, m, sh) = self.last_dim_swapped(a, k_out, "scatter_add_last");
         assert_eq!(idx.len(), rows * m, "scatter_add_last: index count mismatch");
-        let mut buf = self.arena.take(rows * k_out);
-        kernels::scatter_add_last_into(self.value(a).data(), m, &idx, k_out, buf_mut(&mut buf));
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        let v = self.compute("scatter_add_last", (rows * m) as u64, sh, |e, out| {
+            kernels::scatter_add_last_into(e.value(a).data(), m, &idx, k_out, out)
+        });
+        self.push(v, self.rg(a), || Op::ScatterAddLast { a, idx, k_out })
     }
-    fn concat_last(&mut self, parts: &[Var]) -> Var {
-        let g = self.guard("concat_last", 0);
+
+    /// Concatenates along the last dimension.
+    pub fn concat_last(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat_last: no inputs");
         let (nd, rows, last_total, sh) = {
             let first = self.value(parts[0]);
@@ -740,11 +535,7 @@ impl Exec for NoGrad {
             for &p in parts {
                 let pv = self.value(p);
                 assert_eq!(pv.ndim(), nd, "concat_last: rank mismatch");
-                assert_eq!(
-                    &pv.shape()[..nd - 1],
-                    &first.shape()[..nd - 1],
-                    "concat_last: leading dims differ"
-                );
+                assert_eq!(&pv.shape()[..nd - 1], &first.shape()[..nd - 1], "concat_last: leading dims differ");
                 last_total += pv.shape()[nd - 1];
             }
             let rows: usize = first.shape()[..nd - 1].iter().product();
@@ -752,79 +543,102 @@ impl Exec for NoGrad {
             sh[nd - 1] = last_total;
             (nd, rows, last_total, sh)
         };
-        let mut buf = self.arena.take(rows * last_total);
-        {
-            let dst = buf_mut(&mut buf);
+        let v = self.compute("concat_last", 0, sh, |e, dst| {
             for r in 0..rows {
                 let mut o = r * last_total;
                 for &p in parts {
-                    let pv = self.value(p);
+                    let pv = e.value(p);
                     let w = pv.shape()[nd - 1];
                     dst[o..o + w].copy_from_slice(&pv.data()[r * w..(r + 1) * w]);
                     o += w;
                 }
             }
-        }
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        });
+        let rg = parts.iter().any(|&p| self.rg(p));
+        self.push(v, rg, || Op::ConcatLast(parts.to_vec()))
     }
-    fn slice_last(&mut self, v: Var, start: usize, len: usize) -> Var {
-        let g = self.guard("slice_last", 0);
-        let (w, rows, sh) = {
-            let vv = self.value(v);
-            let nd = vv.ndim();
-            let w = vv.shape()[nd - 1];
-            assert!(start + len <= w, "slice_last: {start}+{len} > {w}");
-            let rows = vv.len() / w;
-            let mut sh = vv.shape_inline();
-            sh[nd - 1] = len;
-            (w, rows, sh)
-        };
-        let mut buf = self.arena.take(rows * len);
-        kernels::slice_last_into(self.value(v).data(), buf_mut(&mut buf), w, start, len);
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+
+    /// Slices the last dimension.
+    pub fn slice_last(&mut self, v: Var, start: usize, len: usize) -> Var {
+        let (_, w, sh) = self.last_dim_swapped(v, len, "slice_last");
+        assert!(start + len <= w, "slice_last: {start}+{len} > {w}");
+        let out = self.compute("slice_last", 0, sh, |e, out| {
+            kernels::slice_last_into(e.value(v).data(), out, w, start, len)
+        });
+        self.push(out, self.rg(v), || Op::SliceLast { v, start, len })
     }
-    fn reshape(&mut self, v: Var, shape: &[usize]) -> Var {
+
+    /// Reinterprets the shape (a view: the storage is shared).
+    pub fn reshape(&mut self, v: Var, shape: &[usize]) -> Var {
         let g = self.guard("reshape", 0);
         let out = self.value(v).reshape(shape);
         drop(g);
-        self.push(out)
+        self.push(out, self.rg(v), || Op::Reshape(v))
     }
-    fn layer_norm(&mut self, x: Var, alpha: Var, beta: Var, eps: f32) -> Var {
-        let fl = self.ew_flops(x, 8);
-        let g = self.guard("layer_norm", fl);
+
+    /// Layer normalization over the last dimension (Eq 9 of the paper).
+    ///
+    /// # Panics
+    /// Panics, before computing anything, when `alpha`/`beta` are not
+    /// `[width]`.
+    pub fn layer_norm(&mut self, x: Var, alpha: Var, beta: Var, eps: f32) -> Var {
         let (w, sh) = {
             let xv = self.value(x);
-            let w = *xv.shape().last().expect("layer_norm: scalar input");
-            (w, xv.shape_inline())
+            (*xv.shape().last().expect("layer_norm: scalar input"), xv.shape_inline())
         };
         assert_eq!(self.value(alpha).shape(), &[w], "layer_norm: alpha must be [width]");
         assert_eq!(self.value(beta).shape(), &[w], "layer_norm: beta must be [width]");
-        let mut buf = self.arena.take(sh.numel());
-        kernels::layer_norm_affine_into(
-            self.value(x).data(),
-            self.value(alpha).data(),
-            self.value(beta).data(),
-            eps,
-            buf_mut(&mut buf),
-            w,
-        );
-        drop(g);
-        self.push(Array::from_arc(sh, buf))
+        let v = self.compute("layer_norm", 8 * sh.numel() as u64, sh, |e, out| {
+            let (xv, av, bv) = (e.value(x), e.value(alpha), e.value(beta));
+            kernels::layer_norm_affine_into(xv.data(), av.data(), bv.data(), eps, out, w)
+        });
+        let rg = self.rg(x) || self.rg(alpha) || self.rg(beta);
+        self.push(v, rg, || Op::LayerNorm { x, alpha, beta, eps })
     }
-    fn mul_const(&mut self, a: Var, c: Array) -> Var {
-        self.zip_const_op("mul_const", a, c, |x, y| x * y)
+
+    /// Elementwise product with a constant array (masking, dropout). A
+    /// recording tape keeps `c` for backward; otherwise its storage goes
+    /// back to the arena.
+    pub fn mul_const(&mut self, a: Var, c: Array) -> Var {
+        let v = self.zip_const("mul_const", a, &c, |x, y| x * y);
+        let rg = self.rg(a);
+        if T::RECORDS {
+            self.push(v, rg, || Op::MulConst(a, c))
+        } else {
+            self.arena.recycle(c.into_data());
+            self.push(v, rg, || Op::Leaf) // never built: this tape records nothing
+        }
     }
-    fn add_const(&mut self, a: Var, c: Array) -> Var {
-        self.zip_const_op("add_const", a, c, |x, y| x + y)
+
+    /// Elementwise sum with a constant array (attention masks, biases). The
+    /// constant's storage goes back to the arena (backward does not read it).
+    pub fn add_const(&mut self, a: Var, c: Array) -> Var {
+        let v = self.zip_const("add_const", a, &c, |x, y| x + y);
+        self.arena.recycle(c.into_data());
+        self.push(v, self.rg(a), || Op::AddConst(a))
     }
-    fn dropout(&mut self, a: Var, _rate: f32, training: bool, _rng: &mut StdRng) -> Var {
-        assert!(!training, "NoGrad is inference-only: dropout cannot run in training mode");
-        a
+
+    /// Inverted dropout: at train time multiplies by a Bernoulli mask scaled
+    /// by `1/keep`; at eval time is the identity.
+    ///
+    /// # Panics
+    /// Panics when `training` is set on an executor that does not record:
+    /// the serving executor is for frozen weights.
+    pub fn dropout<R: Rng>(&mut self, a: Var, rate: f32, training: bool, rng: &mut R) -> Var {
+        assert!(T::RECORDS || !training, "NoGrad is inference-only: dropout cannot run in training mode");
+        if !training || rate <= 0.0 {
+            return a;
+        }
+        assert!(rate < 1.0, "dropout rate must be < 1");
+        let keep = 1.0 - rate;
+        let shape = self.value(a).shape_inline();
+        let mask: Vec<f32> =
+            (0..shape.numel()).map(|_| if rng.gen_range(0.0..1.0f32) < keep { 1.0 / keep } else { 0.0 }).collect();
+        self.mul_const(a, Array::from_parts(shape, mask))
     }
-    fn stack_axis1(&mut self, parts: &[Var]) -> Var {
-        let g = self.guard("stack_axis1", 0);
+
+    /// Stacks `k` arrays of shape `[b,d]` into `[b,k,d]`.
+    pub fn stack_axis1(&mut self, parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "stack_axis1: no inputs");
         let (b, d) = {
             let first = self.value(parts[0]);
@@ -832,81 +646,97 @@ impl Exec for NoGrad {
             (first.shape()[0], first.shape()[1])
         };
         let k = parts.len();
-        let mut buf = self.arena.take(b * k * d);
-        {
-            let dst = buf_mut(&mut buf);
-            for (j, &p) in parts.iter().enumerate() {
-                let pv = self.value(p);
-                assert_eq!(pv.shape(), &[b, d], "stack_axis1: shape mismatch");
-                kernels::stack_part_into(pv.data(), dst, j, b, k, d);
-            }
+        for &p in parts {
+            assert_eq!(self.value(p).shape(), &[b, d], "stack_axis1: shape mismatch");
         }
-        drop(g);
-        self.push(Array::from_arc(Shape::of(&[b, k, d]), buf))
+        let v = self.compute("stack_axis1", 0, Shape::of(&[b, k, d]), |e, dst| {
+            for (j, &p) in parts.iter().enumerate() {
+                kernels::stack_part_into(e.value(p).data(), dst, j, b, k, d);
+            }
+        });
+        let rg = parts.iter().any(|&p| self.rg(p));
+        self.push(v, rg, || Op::StackAxis1(parts.to_vec()))
     }
-    fn slice_axis1(&mut self, v: Var, idx: usize) -> Var {
-        let g = self.guard("slice_axis1", 0);
-        let (b, n, d) = {
-            let vv = self.value(v);
-            assert_eq!(vv.ndim(), 3, "slice_axis1: input must be 3-D");
-            (vv.shape()[0], vv.shape()[1], vv.shape()[2])
-        };
+
+    /// Extracts time step `idx`: `[b,n,d] -> [b,d]`.
+    pub fn slice_axis1(&mut self, v: Var, idx: usize) -> Var {
+        let (b, n, d) = self.dims3(v, "slice_axis1");
         assert!(idx < n, "slice_axis1: step {idx} out of {n}");
-        let mut buf = self.arena.take(b * d);
-        kernels::slice_axis1_into(self.value(v).data(), buf_mut(&mut buf), idx, b, n, d);
-        drop(g);
-        self.push(Array::from_arc(Shape::of(&[b, d]), buf))
+        let out = self.compute("slice_axis1", 0, Shape::of(&[b, d]), |e, out| {
+            kernels::slice_axis1_into(e.value(v).data(), out, idx, b, n, d)
+        });
+        self.push(out, self.rg(v), || Op::SliceAxis1 { v, idx })
     }
-    fn unfold1(&mut self, v: Var, width: usize) -> Var {
-        let g = self.guard("unfold1", 0);
-        let (b, n, d) = {
-            let vv = self.value(v);
-            assert_eq!(vv.ndim(), 3, "unfold1: input must be 3-D");
-            (vv.shape()[0], vv.shape()[1], vv.shape()[2])
-        };
+
+    /// Sliding-window unfold over axis 1: `[b,n,d] -> [b, n-w+1, w*d]`.
+    pub fn unfold1(&mut self, v: Var, width: usize) -> Var {
+        let (b, n, d) = self.dims3(v, "unfold1");
         assert!(width >= 1 && width <= n, "unfold1: width {width} out of 1..={n}");
-        let windows = n - width + 1;
-        let mut buf = self.arena.take(b * windows * width * d);
-        kernels::unfold1_into(self.value(v).data(), buf_mut(&mut buf), b, n, d, width);
-        drop(g);
-        self.push(Array::from_arc(Shape::of(&[b, windows, width * d]), buf))
+        let sh = Shape::of(&[b, n - width + 1, width * d]);
+        let out = self.compute("unfold1", 0, sh, |e, out| kernels::unfold1_into(e.value(v).data(), out, b, n, d, width));
+        self.push(out, self.rg(v), || Op::Unfold1 { v, width })
     }
-    fn taad_scores(&mut self, f: Var, c: Var, mask: Array) -> Var {
-        let (b, m, n, d) = {
-            let (fv, cv) = (self.value(f), self.value(c));
-            assert_eq!(fv.ndim(), 3, "taad_scores: f must be [b, n, d], got {:?}", fv.shape());
-            let (b, n, d) = (fv.shape()[0], fv.shape()[1], fv.shape()[2]);
-            let m = cv.shape().get(1).copied().unwrap_or(0);
-            assert_eq!(cv.shape(), &[b, m, d], "taad_scores: c must be [b, m, d]");
-            assert_eq!(mask.shape(), &[b, m, n], "taad_scores: mask must be [b, m, n]");
-            (b, m, n, d)
-        };
-        let fl = if self.prof { kernels::taad_flops(b, m, n, d) } else { 0 };
-        let g = self.guard("taad", fl);
+
+    /// Target-aware attention decoding (GeoSAN's decoder, STiSAN's TAAD,
+    /// paper Eq 10–11): each candidate attends over the sequence positions
+    /// it may see and is scored by the inner product with its attended
+    /// summary, `y = Attn(C, F, F) · C`.
+    ///
+    /// * `f`: `[b, n, d]` encoder output;
+    /// * `c`: `[b, m, d]` candidate representations;
+    /// * `mask`: `[b, m, n]` additive mask (`0` where a candidate may
+    ///   attend, `-1e9` elsewhere).
+    ///
+    /// Returns `[b, m]` scores. A recording tape ([`Tape::RECORDS`]) records
+    /// the composition it differentiates; the serving executor runs the
+    /// fused [`kernels::taad_scores_into`] (kind `taad`), which is
+    /// bit-identical to it and reports the same FLOPs.
+    pub fn taad_scores(&mut self, f: Var, c: Var, mask: Array) -> Var {
+        let (b, n, d) = self.dims3(f, "taad_scores");
+        let m = self.value(c).shape().get(1).copied().unwrap_or(0);
+        assert_eq!(self.value(c).shape(), &[b, m, d], "taad_scores: c must be [b, m, d]");
+        assert_eq!(mask.shape(), &[b, m, n], "taad_scores: mask must be [b, m, n]");
+        if T::RECORDS {
+            let ft = self.transpose_last2(f);
+            let logits = self.bmm(c, ft); // [b, m, n]
+            let logits = self.scale(logits, 1.0 / (d as f32).sqrt());
+            let logits = self.add_const(logits, mask);
+            let w = self.softmax_last(logits);
+            let s = self.bmm(w, f); // [b, m, d]
+            let prod = self.mul(s, c);
+            return self.sum_last(prod); // [b, m]
+        }
         let mut scratch = self.arena.take(kernels::taad_scratch_len(n, d));
-        let mut buf = self.arena.take(b * m);
-        kernels::taad_scores_into(
-            self.value(f).data(),
-            self.value(c).data(),
-            mask.data(),
-            buf_mut(&mut buf),
-            buf_mut(&mut scratch),
-            b,
-            m,
-            n,
-            d,
-        );
-        drop(g);
+        let v = self.compute("taad", kernels::taad_flops(b, m, n, d), Shape::of(&[b, m]), |e, out| {
+            let (fv, cv) = (e.value(f).data(), e.value(c).data());
+            kernels::taad_scores_into(fv, cv, mask.data(), out, buf_mut(&mut scratch), b, m, n, d)
+        });
         self.arena.recycle(scratch);
         self.arena.recycle(mask.into_data());
-        self.push(Array::from_arc(Shape::of(&[b, m]), buf))
+        self.push(v, false, || Op::Leaf) // never built: this tape records nothing
     }
-    fn scratch_array(&mut self, shape: &[usize]) -> Array {
+
+    /// A free-standing scratch array (from the arena, when serving), for
+    /// building per-request constants (masks, positional matrices, interval biases)
+    /// that will be fed back through [`Exec::mul_const`] /
+    /// [`Exec::add_const`] / [`Exec::constant`].
+    ///
+    /// **Contents are unspecified** — callers must overwrite every element
+    /// before the array is read (the same set-semantics contract as the
+    /// `_into` kernels). This is what makes request prep allocation-free on
+    /// a warm serving arena.
+    pub fn scratch_array(&mut self, shape: &[usize]) -> Array {
         let sh = Shape::of(shape);
-        let buf = self.arena.take(sh.numel());
+        let buf = self.take(sh.numel());
         Array::from_arc(sh, buf)
     }
-    fn recycle_const(&mut self, c: Array) {
+
+    /// Offers a constant array's storage back to the arena once the caller
+    /// no longer needs it (e.g. originals of masks whose clones were
+    /// consumed by `add_const` during the block loop). Shared storages, and
+    /// the exact-size ones a recording tape allocates, are dropped
+    /// harmlessly.
+    pub fn recycle_const(&mut self, c: Array) {
         self.arena.recycle(c.into_data());
     }
 }
@@ -914,10 +744,11 @@ impl Exec for NoGrad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{Graph, NoGrad};
     use rand::SeedableRng;
 
-    /// Runs the same mixed op chain on both backends and asserts bit
-    /// equality of the result — the micro version of the serve parity suite.
+    /// Runs the same mixed op chain on both tapes and asserts bit equality
+    /// of the result — the micro version of the serve parity suite.
     #[test]
     fn nograd_matches_graph_bitwise() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -925,7 +756,7 @@ mod tests {
         let w = Array::randn(vec![6, 6], 1.0, &mut rng);
         let alpha = Array::ones(vec![6]);
         let beta = Array::zeros(vec![6]);
-        let run = |e: &mut dyn Exec| -> Vec<u32> {
+        fn run<T: Tape>(e: &mut Exec<T>, x: &Array, w: &Array, alpha: &Array, beta: &Array) -> Vec<u32> {
             let x = e.constant(x.clone());
             let w = e.constant(w.clone());
             let alpha = e.constant(alpha.clone());
@@ -940,10 +771,9 @@ mod tests {
             let out = e.relu(out);
             let pooled = e.sum_axis1(out);
             e.value(pooled).data().iter().map(|v| v.to_bits()).collect()
-        };
-        let mut g = Graph::new();
-        let mut n = NoGrad::new();
-        assert_eq!(run(&mut g), run(&mut n));
+        }
+        let tape = run(&mut Graph::new(), &x, &w, &alpha, &beta);
+        assert_eq!(tape, run(&mut NoGrad::new(), &x, &w, &alpha, &beta));
     }
 
     /// The same chain, run twice through a recycled arena: the second pass
@@ -956,12 +786,12 @@ mod tests {
         let run = |n: &mut NoGrad| -> Vec<u32> {
             let x = n.constant(x.clone());
             let w = n.constant(w.clone());
-            let h = Exec::linear(n, x, w, None);
-            let ht = Exec::transpose_last2(n, h);
-            let logits = Exec::bmm(n, h, ht);
-            let wts = Exec::softmax_last(n, logits);
-            let out = Exec::bmm(n, wts, h);
-            let pooled = Exec::max_axis1(n, out);
+            let h = n.linear(x, w, None);
+            let ht = n.transpose_last2(h);
+            let logits = n.bmm(h, ht);
+            let wts = n.softmax_last(logits);
+            let out = n.bmm(wts, h);
+            let pooled = n.max_axis1(out);
             n.value(pooled).data().iter().map(|v| v.to_bits()).collect()
         };
         let mut n1 = NoGrad::new();
@@ -979,7 +809,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let mut n = NoGrad::new();
         let a = n.constant(Array::ones(vec![4]));
-        let d = Exec::dropout(&mut n, a, 0.5, false, &mut rng);
+        let d = n.dropout(a, 0.5, false, &mut rng);
         assert_eq!(d, a);
     }
 
@@ -989,6 +819,53 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let mut n = NoGrad::new();
         let a = n.constant(Array::ones(vec![4]));
-        let _ = Exec::dropout(&mut n, a, 0.5, true, &mut rng);
+        let _ = n.dropout(a, 0.5, true, &mut rng);
+    }
+
+    #[test]
+    fn concat_and_reductions() {
+        let mut g = NoGrad::new();
+        let a = g.constant(Array::from_vec(vec![2, 2], vec![1., 2., 3., 4.]));
+        let b = g.constant(Array::from_vec(vec![2, 3], vec![5., 6., 7., 8., 9., 10.]));
+        let c = g.concat_last(&[a, b]);
+        assert_eq!(g.value(c).shape(), &[2, 5]);
+        assert_eq!(g.value(c).data(), &[1., 2., 5., 6., 7., 3., 4., 8., 9., 10.]);
+        let x = g.constant(Array::from_vec(vec![2, 2, 2], vec![1., 2., 3., 4., 5., 6., 7., 8.]));
+        let (last, axis1, all) = (g.sum_last(x), g.sum_axis1(x), g.sum_all(x));
+        assert_eq!(g.value(last).data(), &[3., 7., 11., 15.]);
+        assert_eq!(g.value(axis1).data(), &[4., 6., 12., 14.]);
+        assert_eq!(g.value(all).item(), 36.0);
+    }
+
+    /// A two-sided broadcast `[3,1] + [1,4]` is 12 FLOPs — one per output
+    /// element — in the tape profiler and in the serve kernel table alike,
+    /// for `add` and for `add_const`.
+    #[test]
+    fn two_sided_broadcast_counts_the_output_on_both_tapes() {
+        fn record<T: Tape>(e: &mut Exec<T>) {
+            let col = e.constant(Array::ones(vec![3, 1]));
+            let row = e.constant(Array::ones(vec![1, 4]));
+            e.add(col, row);
+            e.add_const(col, Array::ones(vec![1, 4]));
+        }
+        let flops = |rows: &[stisan_obs::OpKindRow], kind: &str| {
+            rows.iter().find(|r| r.kind == kind).map(|r| r.stats.flops)
+        };
+
+        let tape = Arc::new(TapeProfiler::new());
+        let mut g = Graph::new();
+        g.set_profiler(Arc::clone(&tape));
+        record(&mut g);
+        let rows = tape.snapshot();
+        assert_eq!((flops(&rows, "add"), flops(&rows, "add_const")), (Some(12), Some(12)));
+
+        // The serve table is process-global; no other test in this binary
+        // runs a serving `add` or `add_const`.
+        let serve = &stisan_obs::init().serve_prof;
+        stisan_obs::flame::enable();
+        record(&mut NoGrad::new());
+        stisan_obs::flame::disable();
+        let rows = serve.kernels.snapshot();
+        assert_eq!((flops(&rows, "add"), flops(&rows, "add_const")), (Some(12), Some(12)));
     }
 }

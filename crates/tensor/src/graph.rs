@@ -1,26 +1,27 @@
-//! Tape-based reverse-mode automatic differentiation.
+//! Tapes, and reverse-mode automatic differentiation over the owned one.
 //!
-//! A [`Graph`] is an append-only tape of [`Op`] nodes. Every op computes its
-//! value eagerly on construction; [`Graph::backward`] walks the tape in
-//! reverse, accumulating gradients. Ops form a closed `enum`, so the whole
-//! backward pass is one auditable `match` — no boxed closures, no lifetimes.
+//! Every forward op is written once, on the executor [`Exec`]; its tape type
+//! decides what is kept beside each value. [`NoTape`] keeps nothing, so the
+//! serving executor [`NoGrad`] never builds an [`Op`]. [`OwnedTape`] keeps
+//! the [`Op`] that produced each value and whether it needs a gradient, so
+//! [`Graph::backward`] can walk the tape in reverse, accumulating gradients.
+//! Ops form a closed `enum`, so the whole backward pass is one auditable
+//! `match` — no boxed closures, no lifetimes.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use rand::Rng;
-use stisan_obs::TapeProfiler;
-
 use crate::array::Array;
+use crate::exec::{Exec, Profiler};
 use crate::kernels;
 
-/// A handle to a node in a [`Graph`] (a plain index; `Copy`).
+/// A handle to a value computed by an [`Exec`] (a plain index; `Copy`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
-/// The closed set of differentiable operations.
-#[derive(Clone)]
-pub enum Op {
+/// The closed set of differentiable operations. Payloads are what backward
+/// reads, and nothing more.
+pub(crate) enum Op {
     /// An input (parameter or constant).
     Leaf,
     /// Elementwise sum with broadcasting.
@@ -32,7 +33,7 @@ pub enum Op {
     /// Multiplication by a compile-time constant scalar.
     Scale(Var, f32),
     /// Addition of a constant scalar.
-    AddScalar(Var, f32),
+    AddScalar(Var),
     /// Elementwise negation.
     Neg(Var),
     /// Affine map over the last dimension: `x[..,k] · w[k,f] (+ b[f])`.
@@ -67,7 +68,7 @@ pub enum Op {
     /// the argmax).
     MaxAxis1(Var),
     /// Row lookup into a 2-D table: `out[i,:] = table[indices[i],:]`.
-    Gather { table: Var, indices: Arc<Vec<usize>>, out_shape: Vec<usize> },
+    Gather { table: Var, indices: Arc<Vec<usize>> },
     /// Per-row lookup along the last dim: `out[l,m] = v[l, idx[l*m_out+m]]`.
     GatherLast { v: Var, idx: Arc<Vec<usize>>, m_out: usize },
     /// Per-row scatter-add along the last dim (dual of `GatherLast`).
@@ -77,13 +78,13 @@ pub enum Op {
     /// Slice `[start, start+len)` of the last dimension.
     SliceLast { v: Var, start: usize, len: usize },
     /// Shape reinterpretation.
-    Reshape(Var, Vec<usize>),
+    Reshape(Var),
     /// Layer normalization over the last dimension with learned scale/shift.
     LayerNorm { x: Var, alpha: Var, beta: Var, eps: f32 },
     /// Elementwise product with a constant array (dropout masks etc.).
     MulConst(Var, Array),
     /// Elementwise sum with a constant array (attention masks etc.).
-    AddConst(Var, Array),
+    AddConst(Var),
     /// Stacks `k` arrays of shape `[b,d]` into `[b,k,d]`.
     StackAxis1(Vec<Var>),
     /// Extracts step `idx` of a 3-D array: `[b,n,d] -> [b,d]`.
@@ -93,8 +94,9 @@ pub enum Op {
 }
 
 impl Op {
-    /// Stable profiling key for this op's kind.
-    pub fn kind(&self) -> &'static str {
+    /// The op's kind: the key of its backward row in the tape profiler,
+    /// the same string its forward reports.
+    fn kind(&self) -> &'static str {
         match self {
             Op::Leaf => "leaf",
             Op::Add(..) => "add",
@@ -134,451 +136,85 @@ impl Op {
     }
 }
 
-/// `2*m*k*n` multiply-accumulate FLOPs of `[m,k] × [k,n]`. Must agree with
-/// `stisan_core::flops::matmul_flops` — asserted by the profiler smoke test
-/// in `stisan-core`.
-const fn mm_flops(m: usize, k: usize, n: usize) -> u64 {
-    2 * (m as u64) * (k as u64) * (n as u64)
+/// What an [`Exec`] keeps beside each forward value: [`NoTape`] or
+/// [`OwnedTape`].
+pub trait Tape: Record {
+    /// Whether ops are recorded for backward. It also picks the decoder of
+    /// [`Exec::taad_scores`]: the recorded composition when `true`, the fused
+    /// kernel (bit-identical to it) when `false`.
+    const RECORDS: bool;
 }
 
-/// Estimated forward FLOPs of `op` given its input nodes and output value.
-/// Conventions follow `stisan-core/src/flops.rs`: matmuls are `2mkn`,
-/// softmax is `5` per element (max, sub, exp, sum, div), transcendental
-/// elementwise ops count `4` per element, arithmetic elementwise `1`,
-/// reductions `1` per input element, and pure data movement `0`.
-fn op_flops(nodes: &[Node], op: &Op, out: &Array) -> u64 {
-    let n = out.len() as u64;
-    match op {
-        Op::Linear { x, w, b } => {
-            let k = *nodes[x.0].value.shape().last().unwrap();
-            let f = nodes[w.0].value.shape()[1];
-            let rows = out.len() / f;
-            mm_flops(rows, k, f) + if b.is_some() { (rows * f) as u64 } else { 0 }
+/// The serving tape: records nothing, so no [`Op`] is ever built.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoTape;
+
+impl Tape for NoTape {
+    const RECORDS: bool = false;
+}
+
+/// The training tape: the [`Op`] and `requires_grad` flag of every value,
+/// and the gradient slots [`Graph::backward`] fills.
+#[derive(Default)]
+pub struct OwnedTape {
+    ops: Vec<Op>,
+    requires_grad: Vec<bool>,
+    grads: Vec<Option<Array>>,
+}
+
+impl Tape for OwnedTape {
+    const RECORDS: bool = true;
+}
+
+/// How the executor records through its tape. Sealed: the trait names the
+/// crate-private [`Op`], so only the two tapes above implement it.
+#[allow(private_bounds)]
+pub(crate) mod sealed {
+    use super::{NoTape, Op, OwnedTape, Var};
+
+    pub trait Record: Default {
+        /// Whether `v` needs a gradient.
+        fn requires_grad(&self, v: Var) -> bool;
+        /// Records the node of the value the executor is pushing. Only a
+        /// recording tape calls `op`.
+        fn record(&mut self, requires_grad: bool, op: impl FnOnce() -> Op);
+    }
+
+    impl Record for NoTape {
+        #[inline]
+        fn requires_grad(&self, _v: Var) -> bool {
+            false
         }
-        Op::Bmm(a, _) => {
-            let ash = nodes[a.0].value.shape(); // [b, m, k]
-            let cols = *out.shape().last().unwrap();
-            (ash[0] as u64) * mm_flops(ash[1], ash[2], cols)
+        #[inline]
+        fn record(&mut self, _requires_grad: bool, _op: impl FnOnce() -> Op) {}
+    }
+
+    impl Record for OwnedTape {
+        #[inline]
+        fn requires_grad(&self, v: Var) -> bool {
+            self.requires_grad[v.0]
         }
-        Op::SoftmaxLast(a) => 5 * nodes[a.0].value.len() as u64,
-        Op::LayerNorm { x, .. } => 8 * nodes[x.0].value.len() as u64,
-        Op::Sigmoid(..) | Op::Tanh(..) | Op::Exp(..) | Op::Log(..) | Op::Softplus(..) => 4 * n,
-        Op::Add(..)
-        | Op::Sub(..)
-        | Op::Mul(..)
-        | Op::Scale(..)
-        | Op::AddScalar(..)
-        | Op::Neg(..)
-        | Op::Relu(..)
-        | Op::MulConst(..)
-        | Op::AddConst(..) => n,
-        Op::SumAll(a) | Op::MeanAll(a) | Op::SumLast(a) | Op::SumAxis1(a) | Op::MaxAxis1(a) => {
-            nodes[a.0].value.len() as u64
+        #[inline]
+        fn record(&mut self, requires_grad: bool, op: impl FnOnce() -> Op) {
+            self.ops.push(op());
+            self.requires_grad.push(requires_grad);
         }
-        Op::ScatterAddLast { a, .. } => nodes[a.0].value.len() as u64,
-        Op::Leaf
-        | Op::TransposeLast2(..)
-        | Op::Gather { .. }
-        | Op::GatherLast { .. }
-        | Op::ConcatLast(..)
-        | Op::SliceLast { .. }
-        | Op::Reshape(..)
-        | Op::StackAxis1(..)
-        | Op::SliceAxis1 { .. }
-        | Op::Unfold1 { .. } => 0,
     }
 }
 
-struct Node {
-    value: Array,
-    grad: Option<Array>,
-    op: Op,
-    requires_grad: bool,
-}
+use sealed::Record;
 
-/// A reverse-mode autodiff tape (see the module-level documentation).
-#[derive(Default)]
-pub struct Graph {
-    nodes: Vec<Node>,
-    /// Tape profiler hook; when set, every op constructor reports its kind,
-    /// wall time and estimated FLOPs (and `backward` reports per-op time).
-    profiler: Option<Arc<TapeProfiler>>,
-    /// Forward-timing start set by `tick()` and consumed by `push()`.
-    pending: Option<Instant>,
-}
+/// The serving executor: forward values only, every buffer from its arena.
+pub type NoGrad = Exec<NoTape>;
+
+/// The training executor: a reverse-mode autodiff tape.
+pub type Graph = Exec<OwnedTape>;
 
 impl Graph {
-    /// An empty tape. Attaches the global tape profiler when observability
-    /// is enabled (see `stisan_obs::init`); otherwise profiling is off and
-    /// op construction pays a single `Option` check.
-    pub fn new() -> Self {
-        Graph { nodes: Vec::new(), profiler: stisan_obs::tape_profiler(), pending: None }
-    }
-
-    /// Attaches an explicit tape profiler (e.g. a run-local one in tests).
-    pub fn set_profiler(&mut self, profiler: Arc<TapeProfiler>) {
-        self.profiler = Some(profiler);
-    }
-
-    /// Number of nodes on the tape.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tape is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Starts the forward timer for the op about to be computed. Called at
-    /// the top of every op constructor; `push()` consumes the timestamp.
-    #[inline]
-    fn tick(&mut self) {
-        if self.profiler.is_some() {
-            self.pending = Some(Instant::now());
-        }
-    }
-
-    fn push(&mut self, value: Array, op: Op, requires_grad: bool) -> Var {
-        if let Some(t0) = self.pending.take() {
-            if let Some(profiler) = &self.profiler {
-                let ns = t0.elapsed().as_nanos() as u64;
-                let flops = op_flops(&self.nodes, &op, &value);
-                profiler.record_forward(op.kind(), ns, flops);
-            }
-        }
-        self.nodes.push(Node { value, grad: None, op, requires_grad });
-        Var(self.nodes.len() - 1)
-    }
-
-    fn rg(&self, v: Var) -> bool {
-        self.nodes[v.0].requires_grad
-    }
-
-    /// Adds an input node. `requires_grad` marks trainable parameters.
-    pub fn leaf(&mut self, value: Array, requires_grad: bool) -> Var {
-        self.push(value, Op::Leaf, requires_grad)
-    }
-
-    /// Adds a non-trainable input node.
-    pub fn constant(&mut self, value: Array) -> Var {
-        self.leaf(value, false)
-    }
-
-    /// The forward value of a node.
-    pub fn value(&self, v: Var) -> &Array {
-        &self.nodes[v.0].value
-    }
-
     /// The accumulated gradient of a node (after [`Graph::backward`]).
     pub fn grad(&self, v: Var) -> Option<&Array> {
-        self.nodes[v.0].grad.as_ref()
+        self.tape.grads.get(v.0).and_then(Option::as_ref)
     }
-
-    /// Clones a node's value out of the tape, cutting the gradient flow.
-    pub fn detach(&self, v: Var) -> Array {
-        self.nodes[v.0].value.clone()
-    }
-
-    // ------------------------------------------------------------------
-    // Op constructors (forward is computed eagerly)
-    // ------------------------------------------------------------------
-
-    /// Elementwise sum with broadcasting.
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        self.tick();
-        let v = self.value(a).add(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Add(a, b), rg)
-    }
-
-    /// Elementwise difference with broadcasting.
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        self.tick();
-        let v = self.value(a).sub(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Sub(a, b), rg)
-    }
-
-    /// Elementwise product with broadcasting.
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        self.tick();
-        let v = self.value(a).mul(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Mul(a, b), rg)
-    }
-
-    /// Multiplies by a scalar constant.
-    pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        self.tick();
-        let v = self.value(a).scale(c);
-        let rg = self.rg(a);
-        self.push(v, Op::Scale(a, c), rg)
-    }
-
-    /// Adds a scalar constant.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        self.tick();
-        let v = self.value(a).add_scalar(c);
-        let rg = self.rg(a);
-        self.push(v, Op::AddScalar(a, c), rg)
-    }
-
-    /// Elementwise negation.
-    pub fn neg(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).scale(-1.0);
-        let rg = self.rg(a);
-        self.push(v, Op::Neg(a), rg)
-    }
-
-    /// Affine map over the last dimension (`Linear` layer core).
-    pub fn linear(&mut self, x: Var, w: Var, b: Option<Var>) -> Var {
-        self.tick();
-        let v = kernels::linear_forward(self.value(x), self.value(w), b.map(|b| self.value(b)));
-        let rg = self.rg(x) || self.rg(w) || b.map(|b| self.rg(b)).unwrap_or(false);
-        self.push(v, Op::Linear { x, w, b }, rg)
-    }
-
-    /// 2-D matrix product (alias of [`Graph::linear`] without bias).
-    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.value(a).ndim(), 2, "matmul lhs must be 2-D");
-        self.linear(a, b, None)
-    }
-
-    /// Batched 3-D matrix product.
-    pub fn bmm(&mut self, a: Var, b: Var) -> Var {
-        self.tick();
-        let v = self.value(a).bmm(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Bmm(a, b), rg)
-    }
-
-    /// Transposes the last two dimensions.
-    pub fn transpose_last2(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).transpose_last2();
-        let rg = self.rg(a);
-        self.push(v, Op::TransposeLast2(a), rg)
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).map(|x| x.max(0.0));
-        let rg = self.rg(a);
-        self.push(v, Op::Relu(a), rg)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).map(kernels::stable_sigmoid);
-        let rg = self.rg(a);
-        self.push(v, Op::Sigmoid(a), rg)
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).map(f32::tanh);
-        let rg = self.rg(a);
-        self.push(v, Op::Tanh(a), rg)
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).map(f32::exp);
-        let rg = self.rg(a);
-        self.push(v, Op::Exp(a), rg)
-    }
-
-    /// Elementwise natural logarithm.
-    pub fn log(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).map(f32::ln);
-        let rg = self.rg(a);
-        self.push(v, Op::Log(a), rg)
-    }
-
-    /// Numerically stable softplus `ln(1+e^x)`.
-    pub fn softplus(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).map(kernels::softplus_scalar);
-        let rg = self.rg(a);
-        self.push(v, Op::Softplus(a), rg)
-    }
-
-    /// Softmax over the last dimension.
-    pub fn softmax_last(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).softmax_last();
-        let rg = self.rg(a);
-        self.push(v, Op::SoftmaxLast(a), rg)
-    }
-
-    /// Sum of all elements (scalar output).
-    pub fn sum_all(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = Array::scalar(self.value(a).sum_all());
-        let rg = self.rg(a);
-        self.push(v, Op::SumAll(a), rg)
-    }
-
-    /// Mean of all elements (scalar output).
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = Array::scalar(self.value(a).mean_all());
-        let rg = self.rg(a);
-        self.push(v, Op::MeanAll(a), rg)
-    }
-
-    /// Sum over the last dimension.
-    pub fn sum_last(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).sum_last();
-        let rg = self.rg(a);
-        self.push(v, Op::SumLast(a), rg)
-    }
-
-    /// Sum of a 3-D array over axis 1.
-    pub fn sum_axis1(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = self.value(a).sum_axis1();
-        let rg = self.rg(a);
-        self.push(v, Op::SumAxis1(a), rg)
-    }
-
-    /// Max of a 3-D array over axis 1 (time-dimension max pooling).
-    pub fn max_axis1(&mut self, a: Var) -> Var {
-        self.tick();
-        let v = kernels::max_axis1(self.value(a));
-        let rg = self.rg(a);
-        self.push(v, Op::MaxAxis1(a), rg)
-    }
-
-    /// Embedding lookup: rows of a 2-D `table` selected by `indices`, shaped
-    /// `batch_shape + [d]`.
-    pub fn gather(&mut self, table: Var, indices: &[usize], batch_shape: &[usize]) -> Var {
-        self.tick();
-        let v = kernels::gather_rows(self.value(table), indices, batch_shape);
-        let out_shape = v.shape().to_vec();
-        let rg = self.rg(table);
-        self.push(v, Op::Gather { table, indices: Arc::new(indices.to_vec()), out_shape }, rg)
-    }
-
-    /// Per-row lookup along the last dimension:
-    /// `v: [..., K]`, `idx: flat [rows * m_out]` → `out: [..., m_out]`.
-    pub fn gather_last(&mut self, v: Var, idx: Arc<Vec<usize>>, m_out: usize) -> Var {
-        self.tick();
-        let out = kernels::gather_last(self.value(v), &idx, m_out);
-        let rg = self.rg(v);
-        self.push(out, Op::GatherLast { v, idx, m_out }, rg)
-    }
-
-    /// Per-row scatter-add along the last dimension (dual of `gather_last`):
-    /// `a: [..., M]`, `idx: flat [rows * M]` → `out: [..., k_out]` where
-    /// `out[r, idx[r,m]] += a[r, m]`.
-    pub fn scatter_add_last(&mut self, a: Var, idx: Arc<Vec<usize>>, k_out: usize) -> Var {
-        self.tick();
-        let out = kernels::scatter_add_last(self.value(a), &idx, k_out);
-        let rg = self.rg(a);
-        self.push(out, Op::ScatterAddLast { a, idx, k_out }, rg)
-    }
-
-    /// Concatenates along the last dimension.
-    pub fn concat_last(&mut self, parts: &[Var]) -> Var {
-        self.tick();
-        let arrays: Vec<&Array> = parts.iter().map(|&p| self.value(p)).collect();
-        let v = Array::concat_last(&arrays);
-        let rg = parts.iter().any(|&p| self.rg(p));
-        self.push(v, Op::ConcatLast(parts.to_vec()), rg)
-    }
-
-    /// Slices the last dimension.
-    pub fn slice_last(&mut self, v: Var, start: usize, len: usize) -> Var {
-        self.tick();
-        let val = self.value(v).slice_last(start, len);
-        let rg = self.rg(v);
-        self.push(val, Op::SliceLast { v, start, len }, rg)
-    }
-
-    /// Reinterprets the shape.
-    pub fn reshape(&mut self, v: Var, shape: &[usize]) -> Var {
-        self.tick();
-        let val = self.value(v).reshape(shape);
-        let rg = self.rg(v);
-        self.push(val, Op::Reshape(v, shape.to_vec()), rg)
-    }
-
-    /// Layer normalization over the last dimension (Eq 9 of the paper).
-    pub fn layer_norm(&mut self, x: Var, alpha: Var, beta: Var, eps: f32) -> Var {
-        self.tick();
-        let scaled = kernels::layer_norm_affine(self.value(x), self.value(alpha), self.value(beta), eps);
-        let rg = self.rg(x) || self.rg(alpha) || self.rg(beta);
-        self.push(scaled, Op::LayerNorm { x, alpha, beta, eps }, rg)
-    }
-
-    /// Elementwise product with a constant array (masking, dropout).
-    pub fn mul_const(&mut self, a: Var, c: Array) -> Var {
-        self.tick();
-        let v = self.value(a).mul(&c);
-        let rg = self.rg(a);
-        self.push(v, Op::MulConst(a, c), rg)
-    }
-
-    /// Elementwise sum with a constant array (attention masks, biases).
-    pub fn add_const(&mut self, a: Var, c: Array) -> Var {
-        self.tick();
-        let v = self.value(a).add(&c);
-        let rg = self.rg(a);
-        self.push(v, Op::AddConst(a, c), rg)
-    }
-
-    /// Inverted dropout: at train time multiplies by a Bernoulli mask scaled by
-    /// `1/keep`; at eval time is the identity.
-    pub fn dropout<R: Rng>(&mut self, a: Var, rate: f32, training: bool, rng: &mut R) -> Var {
-        if !training || rate <= 0.0 {
-            return a;
-        }
-        assert!(rate < 1.0, "dropout rate must be < 1");
-        let keep = 1.0 - rate;
-        let shape = self.value(a).shape().to_vec();
-        let n: usize = shape.iter().product();
-        let mask: Vec<f32> =
-            (0..n).map(|_| if rng.gen_range(0.0..1.0f32) < keep { 1.0 / keep } else { 0.0 }).collect();
-        self.mul_const(a, Array::from_vec(shape, mask))
-    }
-
-    /// Stacks `k` arrays of shape `[b,d]` into `[b,k,d]`.
-    pub fn stack_axis1(&mut self, parts: &[Var]) -> Var {
-        self.tick();
-        let arrays: Vec<&Array> = parts.iter().map(|&p| self.value(p)).collect();
-        let v = kernels::stack_axis1(&arrays);
-        let rg = parts.iter().any(|&p| self.rg(p));
-        self.push(v, Op::StackAxis1(parts.to_vec()), rg)
-    }
-
-    /// Extracts time step `idx`: `[b,n,d] -> [b,d]`.
-    pub fn slice_axis1(&mut self, v: Var, idx: usize) -> Var {
-        self.tick();
-        let out = kernels::slice_axis1(self.value(v), idx);
-        let rg = self.rg(v);
-        self.push(out, Op::SliceAxis1 { v, idx }, rg)
-    }
-
-    /// Sliding-window unfold over axis 1: `[b,n,d] -> [b, n-w+1, w*d]`.
-    pub fn unfold1(&mut self, v: Var, width: usize) -> Var {
-        self.tick();
-        let out = kernels::unfold1(self.value(v), width);
-        let rg = self.rg(v);
-        self.push(out, Op::Unfold1 { v, width }, rg)
-    }
-
-    // ------------------------------------------------------------------
-    // Backward
-    // ------------------------------------------------------------------
 
     /// Runs reverse-mode differentiation from scalar node `root`.
     ///
@@ -588,27 +224,33 @@ impl Graph {
     /// # Panics
     /// Panics when `root` is not a scalar.
     pub fn backward(&mut self, root: Var) {
-        assert_eq!(self.nodes[root.0].value.len(), 1, "backward: root must be scalar");
+        assert_eq!(self.value(root).len(), 1, "backward: root must be scalar");
+        let profiler = match &self.prof {
+            Profiler::Tape(p) => Some(Arc::clone(p)),
+            _ => None,
+        };
+        let ops = std::mem::take(&mut self.tape.ops);
+        self.tape.grads.resize(ops.len(), None);
         self.accumulate(root, Array::scalar(1.0));
         for i in (0..=root.0).rev() {
-            if !self.nodes[i].requires_grad {
+            if !self.rg(Var(i)) {
                 continue;
             }
-            let Some(g) = self.nodes[i].grad.clone() else { continue };
-            let op = self.nodes[i].op.clone();
-            let t0 = self.profiler.as_ref().map(|_| Instant::now());
-            self.backprop_op(i, &op, &g);
-            if let (Some(profiler), Some(t0)) = (&self.profiler, t0) {
-                profiler.record_backward(op.kind(), t0.elapsed().as_nanos() as u64);
+            let Some(g) = self.tape.grads[i].clone() else { continue };
+            let t0 = profiler.as_ref().map(|_| Instant::now());
+            self.backprop_op(i, &ops[i], &g);
+            if let (Some(profiler), Some(t0)) = (&profiler, t0) {
+                profiler.record_backward(ops[i].kind(), t0.elapsed().as_nanos() as u64);
             }
         }
+        self.tape.ops = ops;
     }
 
     fn accumulate(&mut self, v: Var, g: Array) {
-        if !self.nodes[v.0].requires_grad {
+        if !self.rg(v) {
             return;
         }
-        let slot = &mut self.nodes[v.0].grad;
+        let slot = &mut self.tape.grads[v.0];
         match slot {
             Some(existing) => existing.axpy(1.0, &g),
             None => *slot = Some(g),
@@ -640,7 +282,7 @@ impl Graph {
                 self.accumulate(*b, gb);
             }
             Op::Scale(a, c) => self.accumulate(*a, g.scale(*c)),
-            Op::AddScalar(a, _) => self.accumulate(*a, g.clone()),
+            Op::AddScalar(a) => self.accumulate(*a, g.clone()),
             Op::Neg(a) => self.accumulate(*a, g.scale(-1.0)),
             Op::Linear { x, w, b } => {
                 let xv = self.value(*x).clone();
@@ -684,17 +326,17 @@ impl Graph {
                 self.accumulate(*a, ga);
             }
             Op::Sigmoid(a) => {
-                let yv = self.nodes[node].value.clone();
+                let yv = self.value(Var(node)).clone();
                 let ga = g.zip_broadcast(&yv, |gy, s| gy * s * (1.0 - s));
                 self.accumulate(*a, ga);
             }
             Op::Tanh(a) => {
-                let yv = self.nodes[node].value.clone();
+                let yv = self.value(Var(node)).clone();
                 let ga = g.zip_broadcast(&yv, |gy, t| gy * (1.0 - t * t));
                 self.accumulate(*a, ga);
             }
             Op::Exp(a) => {
-                let yv = self.nodes[node].value.clone();
+                let yv = self.value(Var(node)).clone();
                 let ga = g.mul(&yv);
                 self.accumulate(*a, ga);
             }
@@ -709,7 +351,7 @@ impl Graph {
                 self.accumulate(*a, ga);
             }
             Op::SoftmaxLast(a) => {
-                let y = self.nodes[node].value.clone();
+                let y = self.value(Var(node)).clone();
                 let w = *y.shape().last().unwrap();
                 let rows = y.len() / w;
                 let mut ga = vec![0.0f32; y.len()];
@@ -774,7 +416,7 @@ impl Graph {
                 }
                 self.accumulate(*a, Array::from_vec(av.shape().to_vec(), ga));
             }
-            Op::Gather { table, indices, .. } => {
+            Op::Gather { table, indices } => {
                 let tshape = self.value(*table).shape().to_vec();
                 let d = tshape[1];
                 let mut gt = Array::zeros(tshape);
@@ -833,7 +475,7 @@ impl Graph {
                 }
                 self.accumulate(*v, Array::from_vec(vshape, gv));
             }
-            Op::Reshape(a, _) => {
+            Op::Reshape(a) => {
                 let shape = self.value(*a).shape().to_vec();
                 self.accumulate(*a, g.reshape(shape));
             }
@@ -872,7 +514,7 @@ impl Graph {
                 let ga = g.mul(c).reduce_to_shape(self.value(*a).shape());
                 self.accumulate(*a, ga);
             }
-            Op::AddConst(a, _) => {
+            Op::AddConst(a) => {
                 let ga = g.reduce_to_shape(self.value(*a).shape());
                 self.accumulate(*a, ga);
             }
@@ -920,6 +562,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stisan_obs::TapeProfiler;
 
     #[test]
     fn forward_values_eager() {

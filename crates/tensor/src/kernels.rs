@@ -1,22 +1,14 @@
-//! Shared forward kernels used by both execution backends.
+//! The forward kernels of the executor, and the FLOP counts of its
+//! contractions.
 //!
-//! Every op whose forward pass is more than a one-line [`Array`] call lives
-//! here as a plain function, and both [`Graph`](crate::Graph) (the autodiff
-//! tape) and [`NoGrad`](crate::NoGrad) (the inference backend) call the same
-//! function. This is what makes the tape-free serving path *bit-for-bit*
-//! identical to the training forward: there is exactly one implementation of
-//! each kernel, so the two backends cannot drift apart numerically.
-//!
-//! # `_into` kernels and the arena
-//!
-//! The hot kernels come in `_into` form: they write into a caller-provided
-//! output slice instead of allocating. The allocating [`Array`] methods are
-//! thin wrappers over these, and the arena-backed [`NoGrad`](crate::NoGrad)
-//! path calls the same `_into` functions with recycled buffers — so the
-//! fresh-alloc and arena paths are bit-identical *by construction*. Unless
-//! noted otherwise, `_into` kernels have **set** semantics: every output
-//! element is written, previous contents are ignored (which is what makes
-//! arena reuse safe without clearing).
+//! Every op of [`Exec`](crate::Exec) whose forward is more than a few lines
+//! calls a plain function here. The kernels come in `_into` form: they write
+//! into a caller-provided output slice (an arena buffer) instead of
+//! allocating, and the allocating [`Array`] methods the backward pass uses
+//! are thin wrappers over the same functions. Unless noted otherwise,
+//! `_into` kernels have **set** semantics: every output element is written,
+//! previous contents are ignored (which is what makes arena reuse safe
+//! without clearing).
 //!
 //! # Blocking and the bit-parity policy
 //!
@@ -385,29 +377,6 @@ pub fn linear_forward_into(
     }
 }
 
-/// Forward of the affine map `x W (+ b)` over the last dimension.
-///
-/// A 1-D bias of the output width takes the fused in-place path of
-/// [`linear_forward_into`]; any other (broadcastable) bias shape falls back
-/// to the generic broadcast add. Both produce the same per-element
-/// arithmetic as `matmul_last(..).add(b)` did.
-pub fn linear_forward(x: &Array, w: &Array, b: Option<&Array>) -> Array {
-    let mut v = x.matmul_last(w);
-    match b {
-        Some(b) if b.ndim() == 1 && b.len() == *v.shape().last().unwrap_or(&1) => {
-            let f = b.len();
-            for row in v.data_mut().chunks_exact_mut(f) {
-                for (o, &bv) in row.iter_mut().zip(b.data()) {
-                    *o += bv;
-                }
-            }
-            v
-        }
-        Some(b) => v.add(b),
-        None => v,
-    }
-}
-
 // ----------------------------------------------------------------------
 // Fused target-aware attention decoder
 // ----------------------------------------------------------------------
@@ -506,7 +475,7 @@ pub fn softmax_last_into(src: &[f32], out: &mut [f32], w: usize) {
 
 /// Per-row mean and inverse standard deviation of layer norm. The single
 /// source of this arithmetic: [`layer_norm_forward`] (tape backward) and
-/// [`layer_norm_affine_into`] (both forwards) share it, keeping every layer
+/// [`layer_norm_affine_into`] (the forward) share it, keeping every layer
 /// norm path bit-identical.
 #[inline]
 fn ln_row_stats(row: &[f32], eps: f32) -> (f32, f32) {
@@ -564,21 +533,6 @@ pub fn layer_norm_affine_into(
     }
 }
 
-/// Full affine layer-norm output `xhat * alpha + beta` (both backends).
-///
-/// # Panics
-/// Panics up front when `alpha`/`beta` are not `[width]` — the asserts run
-/// *before* any arithmetic so a shape mismatch dies with this message, not
-/// inside broadcasting.
-pub fn layer_norm_affine(xv: &Array, alpha: &Array, beta: &Array, eps: f32) -> Array {
-    let w = *xv.shape().last().expect("layer_norm: scalar input");
-    assert_eq!(alpha.shape(), &[w], "layer_norm: alpha must be [width]");
-    assert_eq!(beta.shape(), &[w], "layer_norm: beta must be [width]");
-    let mut out = vec![0.0f32; xv.len()];
-    layer_norm_affine_into(xv.data(), alpha.data(), beta.data(), eps, &mut out, w);
-    Array::from_parts(crate::shape::Shape::of(xv.shape()), out)
-}
-
 /// Max of a 3-D array over axis 1 into `[b*d]` (set semantics: output is
 /// seeded with `-inf`, then maxed over the `n` axis in ascending order).
 pub fn max_axis1_into(src: &[f32], out: &mut [f32], b: usize, n: usize, d: usize) {
@@ -597,15 +551,6 @@ pub fn max_axis1_into(src: &[f32], out: &mut [f32], b: usize, n: usize, d: usize
             }
         }
     }
-}
-
-/// Max of a 3-D array over axis 1: `[b,n,d] -> [b,d]`.
-pub fn max_axis1(av: &Array) -> Array {
-    assert_eq!(av.ndim(), 3, "max_axis1 requires a 3-D array");
-    let (b, n, d) = (av.shape()[0], av.shape()[1], av.shape()[2]);
-    let mut out = vec![0.0f32; b * d];
-    max_axis1_into(av.data(), &mut out, b, n, d);
-    Array::from_parts(crate::shape::Shape::of(&[b, d]), out)
 }
 
 /// Sum over rows of width `w`, dropping the last dimension (set semantics).
@@ -661,20 +606,6 @@ pub fn gather_rows_into(table: &[f32], t_rows: usize, d: usize, indices: &[usize
     }
 }
 
-/// Embedding lookup: rows of a 2-D `table` selected by `indices`, shaped
-/// `batch_shape + [d]`.
-pub fn gather_rows(t: &Array, indices: &[usize], batch_shape: &[usize]) -> Array {
-    assert_eq!(t.ndim(), 2, "gather: table must be 2-D");
-    let rows: usize = batch_shape.iter().product();
-    assert_eq!(rows, indices.len(), "gather: batch shape {batch_shape:?} vs {} indices", indices.len());
-    let d = t.shape()[1];
-    let mut data = vec![0.0f32; indices.len() * d];
-    gather_rows_into(t.data(), t.shape()[0], d, indices, &mut data);
-    let mut out_shape = crate::shape::Shape::of(batch_shape);
-    out_shape.push(d);
-    Array::from_parts(out_shape, data)
-}
-
 /// Per-row lookup along the last dimension into a caller-provided buffer:
 /// `src: [rows, K]` flat, `idx: flat [rows * m_out]` → `out: [rows * m_out]`.
 pub fn gather_last_into(src: &[f32], k: usize, idx: &[usize], m_out: usize, out: &mut [f32]) {
@@ -688,19 +619,6 @@ pub fn gather_last_into(src: &[f32], k: usize, idx: &[usize], m_out: usize, out:
             out[r * m_out + m] = src[r * k + j];
         }
     }
-}
-
-/// Per-row lookup along the last dimension:
-/// `v: [..., K]`, `idx: flat [rows * m_out]` → `out: [..., m_out]`.
-pub fn gather_last(val: &Array, idx: &[usize], m_out: usize) -> Array {
-    let k = *val.shape().last().expect("gather_last: scalar input");
-    let rows = val.len() / k;
-    assert_eq!(idx.len(), rows * m_out, "gather_last: index count mismatch");
-    let mut data = vec![0.0f32; rows * m_out];
-    gather_last_into(val.data(), k, idx, m_out, &mut data);
-    let mut shape = crate::shape::Shape::of(val.shape());
-    shape[val.ndim() - 1] = m_out;
-    Array::from_parts(shape, data)
 }
 
 /// Per-row scatter-add along the last dimension into a caller-provided
@@ -717,34 +635,6 @@ pub fn scatter_add_last_into(src: &[f32], m: usize, idx: &[usize], k_out: usize,
             out[r * k_out + k] += src[r * m + j];
         }
     }
-}
-
-/// Per-row scatter-add along the last dimension (dual of `gather_last`):
-/// `a: [..., M]`, `idx: flat [rows * M]` → `out: [..., k_out]`.
-pub fn scatter_add_last(val: &Array, idx: &[usize], k_out: usize) -> Array {
-    let m = *val.shape().last().expect("scatter_add_last: scalar input");
-    let rows = val.len() / m;
-    assert_eq!(idx.len(), rows * m, "scatter_add_last: index count mismatch");
-    let mut data = vec![0.0f32; rows * k_out];
-    scatter_add_last_into(val.data(), m, idx, k_out, &mut data);
-    let mut shape = crate::shape::Shape::of(val.shape());
-    shape[val.ndim() - 1] = k_out;
-    Array::from_parts(shape, data)
-}
-
-/// Stacks `k` arrays of shape `[b,d]` into `[b,k,d]`.
-pub fn stack_axis1(parts: &[&Array]) -> Array {
-    assert!(!parts.is_empty(), "stack_axis1: no inputs");
-    let first = parts[0].shape();
-    assert_eq!(first.len(), 2, "stack_axis1: parts must be 2-D");
-    let (b, d) = (first[0], first[1]);
-    let k = parts.len();
-    let mut data = vec![0.0f32; b * k * d];
-    for (j, pv) in parts.iter().enumerate() {
-        assert_eq!(pv.shape(), &[b, d], "stack_axis1: shape mismatch");
-        stack_part_into(pv.data(), &mut data, j, b, k, d);
-    }
-    Array::from_parts(crate::shape::Shape::of(&[b, k, d]), data)
 }
 
 /// Copies one `[b,d]` part into lane `j` of a `[b,k,d]` stack buffer.
@@ -765,16 +655,6 @@ pub fn slice_axis1_into(src: &[f32], out: &mut [f32], idx: usize, b: usize, n: u
     }
 }
 
-/// Extracts time step `idx`: `[b,n,d] -> [b,d]`.
-pub fn slice_axis1(val: &Array, idx: usize) -> Array {
-    assert_eq!(val.ndim(), 3, "slice_axis1: input must be 3-D");
-    let (b, n, d) = (val.shape()[0], val.shape()[1], val.shape()[2]);
-    assert!(idx < n, "slice_axis1: step {idx} out of {n}");
-    let mut data = vec![0.0f32; b * d];
-    slice_axis1_into(val.data(), &mut data, idx, b, n, d);
-    Array::from_parts(crate::shape::Shape::of(&[b, d]), data)
-}
-
 /// Sliding-window unfold of a `[b,n,d]` buffer into `[b, n-w+1, w*d]`.
 pub fn unfold1_into(src: &[f32], out: &mut [f32], b: usize, n: usize, d: usize, width: usize) {
     let windows = n - width + 1;
@@ -786,17 +666,6 @@ pub fn unfold1_into(src: &[f32], out: &mut [f32], b: usize, n: usize, d: usize, 
                 .copy_from_slice(&src[(i * n + s) * d..(i * n + s + width) * d]);
         }
     }
-}
-
-/// Sliding-window unfold over axis 1: `[b,n,d] -> [b, n-w+1, w*d]`.
-pub fn unfold1(val: &Array, width: usize) -> Array {
-    assert_eq!(val.ndim(), 3, "unfold1: input must be 3-D");
-    let (b, n, d) = (val.shape()[0], val.shape()[1], val.shape()[2]);
-    assert!(width >= 1 && width <= n, "unfold1: width {width} out of 1..={n}");
-    let windows = n - width + 1;
-    let mut data = vec![0.0f32; b * windows * width * d];
-    unfold1_into(val.data(), &mut data, b, n, d, width);
-    Array::from_parts(crate::shape::Shape::of(&[b, windows, width * d]), data)
 }
 
 /// Extracts the half-open column range `[start, start+len)` of rows of width
@@ -813,8 +682,8 @@ pub fn slice_last_into(src: &[f32], out: &mut [f32], w: usize, start: usize, len
 // FLOP estimates
 // ----------------------------------------------------------------------
 
-/// Estimated FLOPs of [`linear_forward`], matching the tape profiler's
-/// convention (`2*rows*k*f` plus `rows*f` for the bias add).
+/// Estimated FLOPs of [`linear_forward_into`]: `2*rows*k*f`, plus `rows*f`
+/// for the bias add.
 pub fn linear_flops(x: &Array, w: &Array, bias: bool) -> u64 {
     let k = x.shape().last().copied().unwrap_or(1).max(1);
     let f = w.shape().get(1).copied().unwrap_or(1);
@@ -822,8 +691,7 @@ pub fn linear_flops(x: &Array, w: &Array, bias: bool) -> u64 {
     2 * rows * (k as u64) * (f as u64) + if bias { rows * f as u64 } else { 0 }
 }
 
-/// Estimated FLOPs of a batched matmul `[b,m,k] × [b,k,n]`, matching the
-/// tape profiler's convention (`b * 2mkn`).
+/// Estimated FLOPs of a batched matmul `[b,m,k] × [b,k,n]`: `b * 2mkn`.
 pub fn bmm_flops(a: &Array, b: &Array) -> u64 {
     let ash = a.shape();
     let n = b.shape().last().copied().unwrap_or(1);

@@ -10,15 +10,15 @@
 //!   with `Arc`-backed storage (cheap clones, copy-on-write mutation),
 //!   NumPy-style right-aligned broadcasting, 2-D and batched 3-D matrix
 //!   multiplication, reductions, softmax and layer normalization kernels.
-//! * [`Graph`] / [`Var`] — a tape-based reverse-mode autodiff engine whose
-//!   operations are a closed `enum` (no boxed closures), which keeps backward
-//!   passes allocation-light and easy to audit.
+//! * [`Exec`] — the one forward executor: every op's shape checks, output
+//!   buffer, kernel call, profiling and FLOP count are written once, on it.
+//!   It is generic over a [`Tape`]: [`NoGrad`] (`Exec<NoTape>`) serves
+//!   frozen weights and records nothing; [`Graph`] (`Exec<OwnedTape>`)
+//!   records a closed-`enum` op per value, so [`Graph::backward`] can
+//!   differentiate. The same layer/model code runs on either, with
+//!   bit-identical forward values by construction.
 //! * [`grad_check`](check::grad_check) — a central finite-difference gradient
 //!   checker used by the test-suite to validate every differentiable op.
-//! * [`Exec`] / [`NoGrad`] — an execution-backend abstraction over the op
-//!   constructors: the same layer/model code runs on the tape (training) or
-//!   on the tape-free [`NoGrad`] backend (inference), with bit-identical
-//!   forward values because both route through one set of shared kernels.
 //!
 //! Shape errors panic with descriptive messages (the convention of `ndarray`
 //! and friends): a shape mismatch inside a model is a programming bug, not a
@@ -50,7 +50,7 @@ mod shape;
 pub use arena::{Arena, ArenaStats};
 pub use array::{suggested_workers, Array};
 pub use broadcast::{broadcast_shape, broadcast_shapes};
-pub use exec::{Exec, NoGrad};
-pub use graph::{Graph, Op, Var};
+pub use exec::Exec;
+pub use graph::{Graph, NoGrad, NoTape, OwnedTape, Tape, Var};
 pub use init::{xavier_uniform, normal_init};
 pub use shape::{Shape, MAX_DIMS};

@@ -9,7 +9,7 @@
 //! between runs and by checking that concurrently-live node values never
 //! share storage.
 
-use stisan_tensor::{Array, Exec, NoGrad, Var};
+use stisan_tensor::{Array, NoGrad, Var};
 
 /// A deterministic mini forward pass shaped like the model's hot loop
 /// (linear → attention-style bmm/softmax → layer norm → reduction), touching

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stisan_tensor::kernels::{self, naive};
-use stisan_tensor::{Array, Exec, Graph, NoGrad};
+use stisan_tensor::{Array, Exec, Graph, NoGrad, Tape};
 
 /// f32 values weighted toward the parity traps: exact ±0.0, subnormals, and
 /// magnitudes large enough that reassociation would visibly change rounding.
@@ -153,9 +153,10 @@ proptest! {
         let x = Array::uniform(vec![rows, w], -3.0, 3.0, &mut rng);
         let alpha = Array::uniform(vec![w], 0.5, 1.5, &mut rng);
         let beta = Array::uniform(vec![w], -0.5, 0.5, &mut rng);
-        let blocked = kernels::layer_norm_affine(&x, &alpha, &beta, 1e-5);
+        let mut blocked = vec![f32::NAN; rows * w];
+        kernels::layer_norm_affine_into(x.data(), alpha.data(), beta.data(), 1e-5, &mut blocked, w);
         let reference = naive::layer_norm_affine(&x, &alpha, &beta, 1e-5);
-        assert_bits_eq(blocked.data(), reference.data(), "layer_norm");
+        assert_bits_eq(&blocked, reference.data(), "layer_norm");
     }
 
     /// Max over axis 1 == naive, including all-(-0.0) rows where the
@@ -297,8 +298,8 @@ fn decoder_mask(b: usize, m: usize, n: usize, rng: &mut StdRng) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The fused decoder (`NoGrad::taad_scores`) == the composition the
-    /// tape records (`Exec::taad_scores` on `Graph`), bit for bit, with `m`
+    /// The fused decoder (`taad_scores` on `NoGrad`) == the composition the
+    /// tape records (`taad_scores` on `Graph`), bit for bit, with `m`
     /// crossing the 32-row panel.
     #[test]
     fn fused_decoder_matches_composition(
@@ -316,15 +317,15 @@ proptest! {
             *x = 0.0;
         }
         let mask = Array::from_vec(vec![b, m, n], decoder_mask(b, m, n, &mut rng));
-        let run = |e: &mut dyn Exec| -> Vec<f32> {
+        fn run<T: Tape>(e: &mut Exec<T>, f: &Array, c: &Array, mask: &Array) -> Vec<f32> {
             let fv = e.constant(f.clone());
             let cv = e.constant(c.clone());
             let y = e.taad_scores(fv, cv, mask.clone());
-            assert_eq!(e.value(y).shape(), &[b, m]);
             e.value(y).data().to_vec()
-        };
-        let composed = run(&mut Graph::new());
-        let fused = run(&mut NoGrad::new());
+        }
+        let composed = run(&mut Graph::new(), &f, &c, &mask);
+        let fused = run(&mut NoGrad::new(), &f, &c, &mask);
+        assert_eq!(fused.len(), b * m);
         assert_bits_eq(&fused, &composed, "taad");
     }
 }
@@ -347,23 +348,25 @@ fn decoder_flops_equal_the_composition() {
     assert_eq!(kernels::taad_flops(b, m, n, d), composed);
 }
 
-/// The affine layer-norm validates its parameter shapes *before* computing
-/// (the regression this PR fixes: asserts used to run after the work).
+/// The executor's layer norm validates its parameter shapes *before*
+/// computing, so a mismatch dies with this message, not inside a kernel.
 #[test]
 #[should_panic(expected = "layer_norm: alpha must be [width]")]
 fn layer_norm_rejects_misshapen_alpha_before_computing() {
-    let x = Array::ones(vec![2, 8]);
-    let alpha = Array::ones(vec![7]); // wrong width
-    let beta = Array::ones(vec![8]);
-    kernels::layer_norm_affine(&x, &alpha, &beta, 1e-5);
+    let mut g = NoGrad::new();
+    let x = g.constant(Array::ones(vec![2, 8]));
+    let alpha = g.constant(Array::ones(vec![7])); // wrong width
+    let beta = g.constant(Array::ones(vec![8]));
+    g.layer_norm(x, alpha, beta, 1e-5);
 }
 
 /// Beta is validated too.
 #[test]
 #[should_panic(expected = "layer_norm: beta must be [width]")]
 fn layer_norm_rejects_misshapen_beta() {
-    let x = Array::ones(vec![2, 8]);
-    let alpha = Array::ones(vec![8]);
-    let beta = Array::ones(vec![2, 8]); // wrong rank
-    kernels::layer_norm_affine(&x, &alpha, &beta, 1e-5);
+    let mut g = NoGrad::new();
+    let x = g.constant(Array::ones(vec![2, 8]));
+    let alpha = g.constant(Array::ones(vec![8]));
+    let beta = g.constant(Array::ones(vec![2, 8])); // wrong rank
+    g.layer_norm(x, alpha, beta, 1e-5);
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stisan_tensor::Array;
+use stisan_tensor::{Array, NoGrad};
 
 fn arr(shape: Vec<usize>, seed: u64) -> Array {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -58,19 +58,23 @@ proptest! {
     /// Softmax is invariant to adding a constant per row.
     #[test]
     fn softmax_shift_invariant(c in 2usize..6, shift in -5.0f32..5.0, s in 0u64..100) {
-        let a = arr(vec![3, c], s);
-        let shifted = a.add_scalar(shift);
-        prop_assert!(close(&a.softmax_last(), &shifted.softmax_last(), 1e-5));
+        let mut g = NoGrad::new();
+        let a = g.constant(arr(vec![3, c], s));
+        let shifted = g.add_scalar(a, shift);
+        let (sa, ss) = (g.softmax_last(a), g.softmax_last(shifted));
+        prop_assert!(close(g.value(sa), g.value(ss), 1e-5));
     }
 
     /// `sum_last` then `sum_all` equals `sum_all` directly.
     #[test]
     fn reduction_consistency(b in 1usize..4, n in 1usize..5, d in 1usize..5, s in 0u64..100) {
-        let a = arr(vec![b, n, d], s);
-        let via_last = a.sum_last().sum_all();
-        let via_axis1 = a.sum_axis1().sum_all();
-        prop_assert!((via_last - a.sum_all()).abs() < 1e-3 * (1.0 + a.sum_all().abs()));
-        prop_assert!((via_axis1 - a.sum_all()).abs() < 1e-3 * (1.0 + a.sum_all().abs()));
+        let mut g = NoGrad::new();
+        let a = g.constant(arr(vec![b, n, d], s));
+        let (last, axis1) = (g.sum_last(a), g.sum_axis1(a));
+        let (via_last, via_axis1, direct) = (g.sum_all(last), g.sum_all(axis1), g.sum_all(a));
+        let [via_last, via_axis1, direct] = [via_last, via_axis1, direct].map(|v| g.value(v).item());
+        prop_assert!((via_last - direct).abs() < 1e-3 * (1.0 + direct.abs()));
+        prop_assert!((via_axis1 - direct).abs() < 1e-3 * (1.0 + direct.abs()));
     }
 
     /// `reduce_to_shape` is the exact adjoint of broadcasting:
