@@ -19,14 +19,17 @@
 //! In full (non-smoke) mode every contraction row gates the run — the
 //! matmul, linear and `bmm` shapes, the decoder's own shapes, and the fused
 //! decoder against its unfused composition: the production kernel must not
-//! be slower than the reference it replaces.
+//! be slower than the reference it replaces. The `taad N lanes vs 1` row
+//! runs the fused decoder split across every lane the core cap allows
+//! against one lane; it gates only on a host with at least two cores.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stisan_tensor::kernels::{self, naive};
-use stisan_tensor::Array;
+use stisan_tensor::{worker_cap, Arena, Array, Lanes};
 
 struct Opts {
     smoke: bool,
@@ -272,6 +275,35 @@ fn main() {
             "fused decoder diverged from its composition"
         );
         gated_speedups.push(("taad fused", s));
+
+        // The same call through helper lanes, as a serving replica runs it:
+        // one lane (the serial kernel) against every lane the core cap
+        // allows. Gated only where there is a second core to split onto.
+        let (fa, ca) = (f.reshape(vec![1, dn, dd]), c.reshape(vec![1, dm, dd]));
+        let ma = Array::from_vec(vec![1, dm, dn], mask);
+        let (one, all) = (Lanes::new(1), Lanes::new(worker_cap()));
+        let (mut arena_1, mut arena_all) = (Arena::new(), Arena::new());
+        let (mut out_1, mut out_all) = (Arc::new(vec![0.0f32; dm]), Arc::new(vec![0.0f32; dm]));
+        let s = bench_pair(
+            &format!("taad {} lanes vs 1", all.count()),
+            o.iters,
+            || {
+                let out = std::mem::take(&mut out_all);
+                out_all = all.taad_scores(&mut arena_all, &fa, &ca, &ma, out);
+            },
+            || {
+                let out = std::mem::take(&mut out_1);
+                out_1 = one.taad_scores(&mut arena_1, &fa, &ca, &ma, out);
+            },
+        );
+        assert!(
+            out_all.iter().zip(out_1.iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "split decoder diverged from the serial kernel"
+        );
+        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        if cores >= 2 {
+            gated_speedups.push(("taad split", s));
+        }
     }
 
     // Candidate-scoring-shaped batch: crosses both the column panel and

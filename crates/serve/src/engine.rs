@@ -8,7 +8,7 @@ use std::time::Instant;
 use stisan_data::{EvalInstance, Processed};
 use stisan_eval::FrozenScorer;
 use stisan_retrieval::{QuantLevel, RetrievalState, RetrievalStats, SeenSet};
-use stisan_tensor::{Arena, Array};
+use stisan_tensor::{Arena, Array, Lanes};
 
 use crate::topk::{top_k_into, TopKScratch};
 
@@ -97,6 +97,17 @@ impl ServeScratch {
     /// A cold scratch (first use warms it up).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A cold scratch whose forward passes split the fused decoder across
+    /// `lanes` (a replica's helper threads; see `stisan_tensor::lanes`).
+    pub fn with_lanes(lanes: Arc<Lanes>) -> Self {
+        ServeScratch { arena: Arena::with_lanes(lanes), ..Self::default() }
+    }
+
+    /// Lanes this scratch's forward passes use (1 = the caller alone).
+    pub fn lanes(&self) -> usize {
+        self.arena.lanes().map_or(1, |l| l.count())
     }
 
     /// Arena statistics for the embedded tensor arena (observability).

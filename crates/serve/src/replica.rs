@@ -29,6 +29,15 @@
 //! spawns nothing, and a batch spanning G replicas spawns G − 1 threads.
 //! The retry pass and the fallback also run on the caller.
 //!
+//! Each replica also owns `lanes = max(1, cap / replicas)` cores, `cap`
+//! being [`stisan_tensor::worker_cap`]: whoever scores on the replica, plus
+//! `lanes − 1` helper threads ([`stisan_tensor::Lanes`]) spawned once in
+//! [`ReplicatedEngine::new`] — never per batch — and parked between
+//! requests. They take candidate chunks of the fused decoder, the bulk of
+//! a full-catalogue scan, bit for bit; a helper's panic resurfaces on the
+//! scoring thread, inside this module's panic boundary. Dropping the
+//! engine joins them. With one lane no helper exists.
+//!
 //! Each replica owns one warm [`ServeScratch`] (tensor arena, candidate,
 //! score and top-K buffers) behind its own mutex — not the supervisor-state
 //! lock that `admit`/`tick`/`healthy_count` take. Whoever scores on a
@@ -36,7 +45,7 @@
 //! buffers survive across batches and reload epochs (they hold no model
 //! state) and concurrent callers take turns on a replica. A scorer that
 //! panics may leave the buffers half-written: the scratch is replaced by a
-//! fresh one before the lock is released.
+//! fresh one, attached to the same lanes, before the lock is released.
 //!
 //! ## No torn reads
 //!
@@ -52,12 +61,13 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use stisan_data::{EvalInstance, Processed};
 use stisan_eval::FrozenScorer;
 use stisan_obs::{Stage, TraceCtx};
+use stisan_tensor::Lanes;
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::chaos::splitmix64;
@@ -121,7 +131,8 @@ pub trait EngineBackend: Sync {
     /// [`Stage::Scored`] stamp the moment *that* instance finishes scoring,
     /// so per-request scoring time is attributed exactly even when
     /// batch-mates are slower. `workers` is ignored and kept only for
-    /// existing callers: parallelism is [`SupervisorConfig::replicas`].
+    /// existing callers: parallelism is [`SupervisorConfig::replicas`] and
+    /// each replica's decoder lanes.
     fn serve_outcomes(
         &self,
         insts: &[EvalInstance],
@@ -199,6 +210,9 @@ pub struct ReplicatedEngine<'d, M: FrozenScorer + Send + Sync> {
     replicas: Vec<Mutex<ReplicaState>>,
     /// One warm scratch per replica (see the module docs).
     scratch: Vec<Mutex<ServeScratch>>,
+    /// Each replica's decoder lanes, attached to its scratch (see the
+    /// module docs).
+    lanes: Vec<Arc<Lanes>>,
     fallback: FallbackScorer,
     t0: Instant,
     health: Option<stisan_obs::HealthSignal>,
@@ -208,12 +222,28 @@ pub struct ReplicatedEngine<'d, M: FrozenScorer + Send + Sync> {
 impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
     /// Builds the replica pool around an existing [`SharedModel`] handle
     /// (keep a clone to hot-reload through, or hand one to a
-    /// `ReloadWatcher`).
+    /// `ReloadWatcher`). Each replica gets `max(1, cap / replicas)` decoder
+    /// lanes, where `cap` is [`stisan_tensor::worker_cap`].
     pub fn new(
         model: SharedModel<M>,
         data: &'d Processed,
         cfg: ServeConfig,
         sup: SupervisorConfig,
+    ) -> Self {
+        let lanes = stisan_tensor::worker_cap() / sup.replicas.max(1);
+        Self::with_lanes(model, data, cfg, sup, lanes)
+    }
+
+    /// [`ReplicatedEngine::new`] with an explicit lane count per replica
+    /// (at least 1), for tests and benches that must not depend on the
+    /// host's core count. The `lanes − 1` helper threads of each replica
+    /// are spawned here.
+    pub fn with_lanes(
+        model: SharedModel<M>,
+        data: &'d Processed,
+        cfg: ServeConfig,
+        sup: SupervisorConfig,
+        lanes: usize,
     ) -> Self {
         let sup = SupervisorConfig { replicas: sup.replicas.max(1), ..sup };
         let replicas = (0..sup.replicas)
@@ -232,13 +262,19 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
         }
         stisan_obs::gauge("gateway.replicas_total", sup.replicas as f64);
         stisan_obs::gauge("gateway.replicas_healthy", sup.replicas as f64);
+        let lanes: Vec<Arc<Lanes>> =
+            (0..sup.replicas).map(|_| Arc::new(Lanes::new(lanes))).collect();
         ReplicatedEngine {
             data,
             cfg,
             model,
             sup,
             replicas,
-            scratch: (0..sup.replicas).map(|_| Mutex::new(ServeScratch::new())).collect(),
+            scratch: lanes
+                .iter()
+                .map(|l| Mutex::new(ServeScratch::with_lanes(Arc::clone(l))))
+                .collect(),
+            lanes,
             fallback,
             t0: Instant::now(),
             health: None,
@@ -260,6 +296,12 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
     /// The shared model handle (clone to publish new epochs).
     pub fn shared(&self) -> SharedModel<M> {
         self.model.clone()
+    }
+
+    /// Allocations made on every replica's helper threads, each counted by
+    /// its own thread (see [`Lanes::helper_allocs`]).
+    pub fn helper_allocs(&self) -> u64 {
+        self.lanes.iter().map(|l| l.helper_allocs()).sum()
     }
 
     /// Configured replica count.
@@ -371,7 +413,8 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
 
     /// Runs `f` on replica `r`'s warm scratch behind the panic boundary.
     /// The panic is caught before the guard drops, so the lock is never
-    /// poisoned; the scratch a dead scorer was writing to is discarded.
+    /// poisoned; the scratch a dead scorer was writing to is discarded and
+    /// its replacement keeps the replica's lanes.
     fn with_scratch<R>(
         &self,
         r: usize,
@@ -380,7 +423,7 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
         let mut scratch = plock(&self.scratch[r]);
         let res = catch_unwind(AssertUnwindSafe(|| f(&mut scratch)));
         if res.is_err() {
-            *scratch = ServeScratch::new();
+            *scratch = ServeScratch::with_lanes(Arc::clone(&self.lanes[r]));
         }
         res
     }
@@ -691,11 +734,13 @@ mod tests {
         let p = processed();
         let prior = WeightedPrior::seeded(p.num_pois, 3);
         let direct = InferenceSession::new(&prior, &p, ServeConfig::default());
-        let eng = ReplicatedEngine::new(
+        // Two lanes per replica: helper threads exist, and are not spawns.
+        let eng = ReplicatedEngine::with_lanes(
             SharedModel::new(Probe::new(p.num_pois), 1),
             &p,
             ServeConfig::default(),
             sup(2),
+            2,
         );
         let me = std::thread::current().id();
         let serve = |insts: &[EvalInstance]| {
@@ -746,7 +791,8 @@ mod tests {
         let plan = ChaosPlan::new();
         let scorer = ChaosScorer::new(Probe::new(p.num_pois), plan.clone());
         let cfg = SupervisorConfig { restart_base_us: 1, restart_max_us: 2, ..sup(2) };
-        let eng = ReplicatedEngine::new(SharedModel::new(scorer, 1), &p, ServeConfig::default(), cfg);
+        let model = SharedModel::new(scorer, 1);
+        let eng = ReplicatedEngine::with_lanes(model, &p, ServeConfig::default(), cfg, 3);
         let inst = &p.eval[0];
         let home = eng.primary_for(inst.user);
         let mut tr = vec![TraceCtx::new(0)];
@@ -771,6 +817,7 @@ mod tests {
             stisan_tensor::ArenaStats::default(),
             "the buffers the dead scorer was writing to are gone"
         );
+        assert_eq!(plock(&eng.scratch[home]).lanes(), 3, "the fresh scratch keeps its lanes");
 
         // Revived, the replica serves from its fresh scratch, bit-equal to
         // a fresh session.
@@ -783,6 +830,34 @@ mod tests {
             .expect("revived replica answers");
         assert_eq!(served.replica as usize, home);
         assert_eq!(served.rec.items, direct.serve_one(inst).items);
+    }
+
+    /// Each replica's `lanes − 1` helpers exist from construction, whatever
+    /// the batches; dropping the engine joins them all.
+    #[test]
+    fn helpers_live_from_construction_to_drop() {
+        let p = processed();
+        let shared = SharedModel::new(WeightedPrior::seeded(p.num_pois, 3), 1);
+        let eng = ReplicatedEngine::with_lanes(shared, &p, ServeConfig::default(), sup(2), 3);
+        let counts = |eng: &ReplicatedEngine<WeightedPrior>| -> Vec<usize> {
+            eng.lanes.iter().map(|l| l.count()).collect()
+        };
+        assert_eq!(counts(&eng), [3, 3]);
+        let mut traces: Vec<TraceCtx> =
+            (0..p.eval.len()).map(|i| TraceCtx::new(i as u64)).collect();
+        assert!(eng.serve_outcomes(&p.eval, 0, &mut traces).iter().all(|o| o.is_ok()));
+        assert_eq!(counts(&eng), [3, 3]);
+        let lanes: Vec<_> = eng.lanes.iter().map(Arc::downgrade).collect();
+        drop(eng);
+        assert!(lanes.iter().all(|l| l.upgrade().is_none()), "helper lanes outlived the engine");
+        let one = ReplicatedEngine::with_lanes(
+            SharedModel::new(WeightedPrior::seeded(p.num_pois, 3), 1),
+            &p,
+            ServeConfig::default(),
+            sup(1),
+            0,
+        );
+        assert_eq!(counts(&one), [1], "lanes are clamped to at least the caller");
     }
 
     #[test]

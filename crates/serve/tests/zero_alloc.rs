@@ -18,19 +18,21 @@
 //! A third gate holds the supervised path to a constant: one warm batch of
 //! one through [`ReplicatedEngine::serve_outcomes`] — what the gateway
 //! dispatcher calls per request at low load — allocates only its routing
-//! and result bookkeeping, independent of the candidate count.
+//! and result bookkeeping, independent of the candidate count. A fourth
+//! extends the zero to a decoder split across helper lanes, counted on
+//! every helper's thread as well as the caller's.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use stisan_data::{generate, preprocess, DatasetPreset, EvalInstance, GenConfig, PrepConfig,
                   Processed};
 use stisan_eval::{FrozenScorer, Recommender};
 use stisan_obs::TraceCtx;
 use stisan_serve::{
-    EngineBackend, InferenceSession, Recommendation, ReplicatedEngine, ServeConfig, SharedModel,
-    SupervisorConfig,
+    EngineBackend, InferenceSession, Recommendation, ReplicatedEngine, ServeConfig, ServeScratch,
+    SharedModel, SupervisorConfig,
 };
-use stisan_tensor::{Arena, Array, NoGrad};
+use stisan_tensor::{Arena, Array, Lanes, NoGrad};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -278,6 +280,101 @@ fn warm_replicated_batch_of_one_allocates_a_small_constant() {
         "a warm batch of 1 made {small} allocations (gate {REPLICATED_BATCH1_ALLOCS})"
     );
     println!("warm batch-of-1 serve_outcomes: {small} allocations per call");
+}
+
+/// The split decoder's gate. A warm full-scan STiSAN request whose decoder
+/// chunks are shared with one helper lane allocates nothing on the caller's
+/// thread or on the helper's; the thread-local counters cannot see a
+/// helper, so each helper counts its own thread's allocations
+/// ([`Lanes::helper_allocs`]). Through a 1-replica engine with the same two
+/// lanes, a warm batch of 1 still makes only its routing bookkeeping.
+#[test]
+fn warm_full_scan_on_two_lanes_allocates_nothing_on_any_thread() {
+    use stisan_core::{StiSan, StisanConfig};
+    use stisan_models::TrainConfig;
+    use stisan_tensor::lanes::TAAD_CHUNK;
+
+    let cfg = GenConfig {
+        users: 200,
+        pois: 4000,
+        mean_seq_len: 40.0,
+        ..DatasetPreset::Gowalla.config(0.01)
+    };
+    let p = preprocess(
+        &generate(&cfg, 99),
+        &PrepConfig { max_len: 10, min_user_checkins: 15, min_poi_interactions: 1 },
+    );
+    assert!(p.num_pois >= 4 * TAAD_CHUNK, "{} POIs: too few decoder chunks", p.num_pois);
+    let model = || {
+        let train =
+            TrainConfig { dim: 16, blocks: 1, epochs: 0, batch: 8, seed: 5, ..Default::default() };
+        StiSan::new(&p, StisanConfig { train, ..Default::default() })
+    };
+    let m = model();
+    stisan_obs::init();
+
+    let lanes = Arc::new(Lanes::new(2));
+    let session = InferenceSession::new(&m, &p, ServeConfig::default());
+    let mut scratch = ServeScratch::with_lanes(Arc::clone(&lanes));
+    let mut rec = Recommendation::default();
+    for _ in 0..3 {
+        for inst in &p.eval {
+            session.serve_one_into(inst, &mut scratch, &mut rec);
+        }
+    }
+    stisan_obs::alloc::enable();
+    let (helper_allocs0, helper_chunks0) = (lanes.helper_allocs(), lanes.helper_chunks());
+    // The helper joins a request only when it wakes before the caller has
+    // claimed every chunk: serve until it has scored in the window.
+    let mut caller_allocs = 0;
+    for _ in 0..50 {
+        caller_allocs += measure(&session, &p.eval, &mut scratch, &mut rec, 1).0;
+        if lanes.helper_chunks() > helper_chunks0 {
+            break;
+        }
+    }
+    assert!(lanes.helper_chunks() > helper_chunks0, "the helper never took a chunk");
+    let helper_allocs = lanes.helper_allocs() - helper_allocs0;
+    assert_eq!(
+        (caller_allocs, helper_allocs),
+        (0, 0),
+        "a warm split full scan allocated (caller, helper)"
+    );
+
+    let engine = ReplicatedEngine::with_lanes(
+        SharedModel::new(model(), 1),
+        &p,
+        ServeConfig::default(),
+        SupervisorConfig { replicas: 1, ..SupervisorConfig::default() },
+        2,
+    );
+    let mut traces = [TraceCtx::new(1)];
+    let mut serve_all = || {
+        for inst in &p.eval {
+            let out = engine.serve_outcomes(std::slice::from_ref(inst), 0, &mut traces);
+            let served = out[0].as_ref().expect("healthy pool");
+            assert_eq!(served.rec.items, session.serve_one(inst).items);
+        }
+    };
+    for _ in 0..3 {
+        serve_all();
+    }
+    let helpers0 = engine.helper_allocs();
+    let a0 = stisan_obs::alloc::thread_stats().allocs;
+    serve_all();
+    let calls = p.eval.len() as u64;
+    let per_call = (stisan_obs::alloc::thread_stats().allocs - a0) / calls;
+    assert!(
+        per_call <= REPLICATED_BATCH1_ALLOCS,
+        "a warm split batch of 1 made {per_call} caller allocations (gate {REPLICATED_BATCH1_ALLOCS})"
+    );
+    assert_eq!(engine.helper_allocs() - helpers0, 0, "the engine's helpers allocated");
+    println!(
+        "split full scan over {} POIs: helper scored {} chunks, 0 allocations; \
+         engine batch of 1: {per_call} caller allocations per call",
+        p.num_pois,
+        lanes.helper_chunks() - helper_chunks0,
+    );
 }
 
 /// Allocations of one cold STiSAN training step — `Session::new`, the

@@ -40,6 +40,7 @@
 use std::sync::Arc;
 
 use crate::graph::Var;
+use crate::lanes::Lanes;
 
 /// Maximum pooled buffers per size class. Bounds worst-case retention
 /// (classes are power-of-two, so a class holds at most `128 · 2^c` floats)
@@ -89,6 +90,9 @@ pub struct Arena {
     /// contract (“everything a warmed request needs rides in the arena”)
     /// without a tensor → model dependency.
     slot: Option<Box<dyn std::any::Any + Send>>,
+    /// Helper lanes the executor may split the fused decoder across (see
+    /// [`Arena::with_lanes`]). Not pooled state: [`Arena::clear`] keeps it.
+    lanes: Option<Arc<Lanes>>,
 }
 
 impl Default for Arena {
@@ -113,7 +117,20 @@ impl Arena {
             spare_vals: Vec::new(),
             spare_bound: Vec::new(),
             slot: None,
+            lanes: None,
         }
+    }
+
+    /// An empty arena whose executor splits the fused decoder across
+    /// `lanes` ([`crate::lanes`]); the serving engine builds each replica's
+    /// arena this way.
+    pub fn with_lanes(lanes: Arc<Lanes>) -> Self {
+        Arena { lanes: Some(lanes), ..Arena::new() }
+    }
+
+    /// The helper lanes this arena carries, if any.
+    pub fn lanes(&self) -> Option<&Arc<Lanes>> {
+        self.lanes.as_ref()
     }
 
     /// Hands out a unique storage of length `n` (contents unspecified —
@@ -205,7 +222,7 @@ impl Arena {
             .sum()
     }
 
-    /// Drops every pooled buffer and resets the counters.
+    /// Drops every pooled buffer and resets the counters (the lanes stay).
     pub fn clear(&mut self) {
         self.pools.clear();
         self.stats = ArenaStats::default();

@@ -386,27 +386,32 @@ impl Array {
 }
 
 /// Worker threads for `tasks` independent, similarly-sized work items:
-/// `min(cap, tasks)`, or 1 when there are fewer than 2 tasks, where `cap` is
-/// the `STISAN_WORKERS` environment variable when set to a positive integer
-/// and `min(cores, 8)` otherwise. This is the fan-out heuristic of
-/// [`Array::bmm`]; serving parallelism is separate (the replica count of
-/// `stisan_serve::ReplicatedEngine`).
-///
-/// Invalid or non-positive values of the variable are ignored. The variable is re-read on every call, so tests and
-/// long-running deployments can retune it at runtime.
+/// `min(`[`worker_cap`]`(), tasks)`, or 1 when there are fewer than 2 tasks.
+/// This is the fan-out heuristic of [`Array::bmm`].
 pub fn suggested_workers(tasks: usize) -> usize {
     if tasks < 2 {
         return 1;
     }
-    let cap = match std::env::var("STISAN_WORKERS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    {
+    worker_cap().min(tasks)
+}
+
+/// The process's core cap: the `STISAN_WORKERS` environment variable when
+/// set to a positive integer, `min(cores, 8)` otherwise. It sizes
+/// [`suggested_workers`], and the serving engine splits it across its
+/// replicas: each gets `max(1, cap / replicas)` decoder lanes
+/// ([`crate::Lanes`]). The variable is re-read on every call.
+pub fn worker_cap() -> usize {
+    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    parse_worker_cap(std::env::var("STISAN_WORKERS").ok().as_deref(), cores)
+}
+
+/// [`worker_cap`] as a pure function of the variable's value and the core
+/// count. Invalid or non-positive values fall back to `min(cores, 8)`.
+fn parse_worker_cap(var: Option<&str>, cores: usize) -> usize {
+    match var.and_then(|v| v.trim().parse::<usize>().ok()) {
         Some(w) if w >= 1 => w,
-        _ => {
-            let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-            cores.min(8)
-        }
-    };
-    cap.min(tasks)
+        _ => cores.clamp(1, 8),
+    }
 }
 
 impl fmt::Debug for Array {
@@ -570,30 +575,25 @@ mod tests {
             let want = ai.matmul(&ci);
             let got = &fast.data()[i * m * n..(i + 1) * m * n];
             for (x, y) in got.iter().zip(want.data()) {
-                assert!((x - y).abs() < 1e-4);
+                assert_eq!(x.to_bits(), y.to_bits(), "bmm slice {i} differs from its matmul");
             }
         }
     }
 
     #[test]
-    fn suggested_workers_env_override() {
-        // A single task never fans out, override or not.
+    fn worker_cap_parses_the_override() {
+        // A single task never fans out, whatever the cap.
         assert_eq!(suggested_workers(1), 1);
-        // The override caps the pool; tasks still bound it from below.
-        std::env::set_var("STISAN_WORKERS", "3");
-        assert_eq!(suggested_workers(100), 3);
-        assert_eq!(suggested_workers(2), 2);
+        assert_eq!(parse_worker_cap(Some("3"), 2), 3);
+        assert_eq!(parse_worker_cap(Some(" 2 "), 16), 2);
         // Values above the built-in 8-core ceiling are honoured: deployments
         // with more cores opt in explicitly.
-        std::env::set_var("STISAN_WORKERS", "12");
-        assert_eq!(suggested_workers(100), 12);
-        // Garbage and non-positive values fall back to the heuristic.
-        for bad in ["0", "-2", "lots", ""] {
-            std::env::set_var("STISAN_WORKERS", bad);
-            let w = suggested_workers(100);
-            assert!((1..=8).contains(&w), "fallback out of range: {w}");
+        assert_eq!(parse_worker_cap(Some("12"), 4), 12);
+        // Unset, garbage and non-positive values fall back to min(cores, 8).
+        for bad in [None, Some("0"), Some("-2"), Some("lots"), Some("")] {
+            assert_eq!(parse_worker_cap(bad, 2), 2, "{bad:?}");
+            assert_eq!(parse_worker_cap(bad, 64), 8, "{bad:?}");
         }
-        std::env::remove_var("STISAN_WORKERS");
     }
 
     #[test]

@@ -46,6 +46,7 @@ use crate::graph::{Op, Tape, Var};
 #[cfg(doc)]
 use crate::graph::{Graph, NoGrad};
 use crate::kernels;
+use crate::lanes;
 use crate::shape::Shape;
 
 /// Where an executor reports each op's forward cost.
@@ -690,7 +691,9 @@ impl<T: Tape> Exec<T> {
     /// Returns `[b, m]` scores. A recording tape ([`Tape::RECORDS`]) records
     /// the composition it differentiates; the serving executor runs the
     /// fused [`kernels::taad_scores_into`] (kind `taad`), which is
-    /// bit-identical to it and reports the same FLOPs.
+    /// bit-identical to it and reports the same FLOPs. When its arena
+    /// carries helper [`Lanes`](crate::Lanes), the candidate chunks are
+    /// shared with them, with the same bits and one guard on the caller.
     pub fn taad_scores(&mut self, f: Var, c: Var, mask: Array) -> Var {
         let (b, n, d) = self.dims3(f, "taad_scores");
         let m = self.value(c).shape().get(1).copied().unwrap_or(0);
@@ -706,12 +709,15 @@ impl<T: Tape> Exec<T> {
             let prod = self.mul(s, c);
             return self.sum_last(prod); // [b, m]
         }
-        let mut scratch = self.arena.take(kernels::taad_scratch_len(n, d));
-        let v = self.compute("taad", kernels::taad_flops(b, m, n, d), Shape::of(&[b, m]), |e, out| {
-            let (fv, cv) = (e.value(f).data(), e.value(c).data());
-            kernels::taad_scores_into(fv, cv, mask.data(), out, buf_mut(&mut scratch), b, m, n, d)
-        });
-        self.arena.recycle(scratch);
+        let g = self.guard("taad", kernels::taad_flops(b, m, n, d));
+        let mut out = self.take(b * m);
+        let (fv, cv) = (&self.vals[f.0], &self.vals[c.0]);
+        match self.arena.lanes().cloned() {
+            Some(split) => out = split.taad_scores(&mut self.arena, fv, cv, &mask, out),
+            None => lanes::taad_serial(&mut self.arena, fv, cv, &mask, buf_mut(&mut out)),
+        }
+        drop(g);
+        let v = Array::from_arc(Shape::of(&[b, m]), out);
         self.arena.recycle(mask.into_data());
         self.push(v, false, || Op::Leaf) // never built: this tape records nothing
     }

@@ -415,33 +415,53 @@ pub fn taad_scores_into(
     debug_assert_eq!(c.len(), b * m * d);
     debug_assert_eq!(mask.len(), b * m * n);
     debug_assert_eq!(out.len(), b * m);
-    let inv_sqrt_d = 1.0 / (d as f32).sqrt();
-    let (ft, rest) = scratch.split_at_mut(d * n);
-    let (logits, rest) = rest.split_at_mut(TAAD_PANEL * n);
-    let (wts, s) = rest.split_at_mut(TAAD_PANEL * n);
+    let (ft, panel) = scratch.split_at_mut(d * n);
     for bi in 0..b {
         let fb = &f[bi * n * d..][..n * d];
         transpose_last2_into(fb, ft, 1, n, d);
-        for i0 in (0..m).step_by(TAAD_PANEL) {
-            let rows = TAAD_PANEL.min(m - i0);
-            let row0 = bi * m + i0;
-            let cp = &c[row0 * d..][..rows * d];
-            let lp = &mut logits[..rows * n];
-            matmul_into(cp, ft, lp, rows, d, n);
-            for (l, &mk) in lp.iter_mut().zip(&mask[row0 * n..][..rows * n]) {
-                let scaled = *l * inv_sqrt_d;
-                *l = scaled + mk;
-            }
-            let wp = &mut wts[..rows * n];
-            softmax_last_into(lp, wp, n);
-            let sp = &mut s[..rows * d];
-            matmul_into(wp, fb, sp, rows, n, d);
-            // `Σ s⊙c` per row: the products, then `Iterator::sum` in
-            // ascending `j` — the arithmetic of `mul` + `sum_last_into`.
-            let dots = sp.chunks_exact(d).zip(cp.chunks_exact(d));
-            for (o, (srow, crow)) in out[row0..][..rows].iter_mut().zip(dots) {
-                *o = srow.iter().zip(crow).map(|(&x, &y)| x * y).sum();
-            }
+        let (cb, mb) = (&c[bi * m * d..][..m * d], &mask[bi * m * n..][..m * n]);
+        taad_rows_into(fb, ft, cb, mb, &mut out[bi * m..][..m], panel, n, d);
+    }
+}
+
+/// The panel loop of [`taad_scores_into`] over `out.len()` candidate rows of
+/// one sequence: `fb: [n, d]` and its transpose `ft: [d, n]`, `c: [rows, d]`
+/// and `mask: [rows, n]`. A row's score depends only on its own row of `c`
+/// and `mask`, so any split of the rows into runs that start on a multiple
+/// of [`TAAD_PANEL`] yields the same bits (`crate::lanes` relies on this).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn taad_rows_into(
+    fb: &[f32],
+    ft: &[f32],
+    c: &[f32],
+    mask: &[f32],
+    out: &mut [f32],
+    panel: &mut [f32],
+    n: usize,
+    d: usize,
+) {
+    let inv_sqrt_d = 1.0 / (d as f32).sqrt();
+    let (logits, rest) = panel.split_at_mut(TAAD_PANEL * n);
+    let (wts, s) = rest.split_at_mut(TAAD_PANEL * n);
+    let m = out.len();
+    for i0 in (0..m).step_by(TAAD_PANEL) {
+        let rows = TAAD_PANEL.min(m - i0);
+        let cp = &c[i0 * d..][..rows * d];
+        let lp = &mut logits[..rows * n];
+        matmul_into(cp, ft, lp, rows, d, n);
+        for (l, &mk) in lp.iter_mut().zip(&mask[i0 * n..][..rows * n]) {
+            let scaled = *l * inv_sqrt_d;
+            *l = scaled + mk;
+        }
+        let wp = &mut wts[..rows * n];
+        softmax_last_into(lp, wp, n);
+        let sp = &mut s[..rows * d];
+        matmul_into(wp, fb, sp, rows, n, d);
+        // `Σ s⊙c` per row: the products, then `Iterator::sum` in
+        // ascending `j` — the arithmetic of `mul` + `sum_last_into`.
+        let dots = sp.chunks_exact(d).zip(cp.chunks_exact(d));
+        for (o, (srow, crow)) in out[i0..][..rows].iter_mut().zip(dots) {
+            *o = srow.iter().zip(crow).map(|(&x, &y)| x * y).sum();
         }
     }
 }

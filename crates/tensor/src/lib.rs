@@ -44,13 +44,15 @@ mod exec;
 mod graph;
 mod init;
 pub mod kernels;
+pub mod lanes;
 pub mod quant;
 mod shape;
 
 pub use arena::{Arena, ArenaStats};
-pub use array::{suggested_workers, Array};
+pub use array::{suggested_workers, worker_cap, Array};
 pub use broadcast::{broadcast_shape, broadcast_shapes};
 pub use exec::Exec;
 pub use graph::{Graph, NoGrad, NoTape, OwnedTape, Tape, Var};
+pub use lanes::Lanes;
 pub use init::{xavier_uniform, normal_init};
 pub use shape::{Shape, MAX_DIMS};

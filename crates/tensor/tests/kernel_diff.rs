@@ -9,14 +9,17 @@
 //! signed zeros, subnormals and large-magnitude inputs (DESIGN.md §14). The
 //! matmul is checked on both of its instruction-set arms, at every output
 //! width from 1 to 130: each 8-lane step of the register kernel, the 64-wide
-//! panel edge and the narrow tail panel after it.
+//! panel edge and the narrow tail panel after it. The decoder is also
+//! checked split across helper lanes, at its chunk edges.
+
+use std::sync::Arc;
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stisan_tensor::kernels::{self, naive};
-use stisan_tensor::{Array, Exec, Graph, NoGrad, Tape};
+use stisan_tensor::{Arena, Array, Exec, Graph, Lanes, NoGrad, Tape};
 
 /// f32 values weighted toward the parity traps: exact ±0.0, subnormals, and
 /// magnitudes large enough that reassociation would visibly change rounding.
@@ -295,6 +298,51 @@ fn decoder_mask(b: usize, m: usize, n: usize, rng: &mut StdRng) -> Vec<f32> {
     mask
 }
 
+/// `taad_scores` of `f`, `c`, `mask` on executor `e`.
+fn decode<T: Tape>(e: &mut Exec<T>, f: &Array, c: &Array, mask: &Array) -> Vec<f32> {
+    let fv = e.constant(f.clone());
+    let cv = e.constant(c.clone());
+    let y = e.taad_scores(fv, cv, mask.clone());
+    e.value(y).data().to_vec()
+}
+
+/// The decoder split across helper lanes == the serial kernel, bit for bit,
+/// on 1, 2 and 3 lanes built here (so the host's core count does not
+/// matter), at every chunk edge and at the full-scan size, with each
+/// sequence's first candidate masked `-inf` everywhere. The same holds
+/// through `NoGrad::taad_scores` on a laned arena against the tape's
+/// composition.
+#[test]
+fn split_decoder_matches_the_serial_kernel() {
+    let (n, d) = (20usize, 64usize);
+    let lanes: Vec<Arc<Lanes>> = (1..=3).map(|k| Arc::new(Lanes::new(k))).collect();
+    let mut rng = StdRng::seed_from_u64(30);
+    for b in [1usize, 2] {
+        for m in [1usize, 31, 32, 33, 255, 256, 257, 10_000] {
+            let f = Array::uniform(vec![b, n, d], -2.0, 2.0, &mut rng);
+            let c = Array::uniform(vec![b, m, d], -2.0, 2.0, &mut rng);
+            let mut mask = decoder_mask(b, m, n, &mut rng);
+            for seq in mask.chunks_exact_mut(m * n) {
+                seq[..n].fill(f32::NEG_INFINITY);
+            }
+            let mask = Array::from_vec(vec![b, m, n], mask);
+            let mut serial = vec![0.0f32; b * m];
+            let mut scratch = vec![0.0f32; kernels::taad_scratch_len(n, d)];
+            let (fd, cd, md) = (f.data(), c.data(), mask.data());
+            kernels::taad_scores_into(fd, cd, md, &mut serial, &mut scratch, b, m, n, d);
+            let composed = decode(&mut Graph::new(), &f, &c, &mask);
+            for l in &lanes {
+                let what = format!("taad b={b} m={m} lanes={}", l.count());
+                let out = Arc::new(vec![f32::NAN; b * m]);
+                let split = l.taad_scores(&mut Arena::new(), &f, &c, &mask, out);
+                assert_bits_eq(&split, &serial, &what);
+                let mut e = NoGrad::with_arena(Arena::with_lanes(Arc::clone(l)));
+                assert_bits_eq(&decode(&mut e, &f, &c, &mask), &composed, &what);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -317,14 +365,8 @@ proptest! {
             *x = 0.0;
         }
         let mask = Array::from_vec(vec![b, m, n], decoder_mask(b, m, n, &mut rng));
-        fn run<T: Tape>(e: &mut Exec<T>, f: &Array, c: &Array, mask: &Array) -> Vec<f32> {
-            let fv = e.constant(f.clone());
-            let cv = e.constant(c.clone());
-            let y = e.taad_scores(fv, cv, mask.clone());
-            e.value(y).data().to_vec()
-        }
-        let composed = run(&mut Graph::new(), &f, &c, &mask);
-        let fused = run(&mut NoGrad::new(), &f, &c, &mask);
+        let composed = decode(&mut Graph::new(), &f, &c, &mask);
+        let fused = decode(&mut NoGrad::new(), &f, &c, &mask);
         assert_eq!(fused.len(), b * m);
         assert_bits_eq(&fused, &composed, "taad");
     }
