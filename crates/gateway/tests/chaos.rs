@@ -24,7 +24,7 @@ use stisan_gateway::server::{request_from_instance, Gateway, GatewayConfig};
 use stisan_nn::CheckpointManager;
 use stisan_serve::chaos::{silence_chaos_panics, ChaosPlan, ChaosScorer, WeightedPrior};
 use stisan_serve::{
-    CanaryConfig, FallbackScorer, InferenceSession, ReloadWatcher, ReplicatedEngine, ServeConfig,
+    FallbackScorer, InferenceSession, ReloadWatcher, ReplicatedEngine, ServeConfig,
     SharedModel, SupervisorConfig,
 };
 
@@ -105,7 +105,6 @@ fn flood_survives_replica_kills_and_checkpoint_chaos() {
             WeightedPrior::load(path, num_pois)
                 .map(|m| ChaosScorer::new(m, loader_plan.clone()))
         },
-        CanaryConfig::default(),
     );
 
     let cfg = GatewayConfig {

@@ -36,8 +36,9 @@
 //!   failures, so a bad checkpoint can never reach a request.
 //! * **Replica supervision** — [`ReplicatedEngine`] routes users across N
 //!   replicas behind a `catch_unwind` panic boundary, restarts crashed
-//!   replicas with exponential backoff + jitter, and feeds a per-replica
-//!   [`CircuitBreaker`].
+//!   replicas with exponential backoff + jitter, and readmits a restarted
+//!   (or suspect) replica on probation: one probe, then full traffic once
+//!   it answers.
 //! * **Graceful degradation** — when no replica is routable, the
 //!   popularity/geo [`FallbackScorer`] answers in degraded mode instead of
 //!   erroring.
@@ -52,7 +53,6 @@
 //! `crates/e2e_bench`); fleet behaviour under fault injection by
 //! `crates/gateway/tests/chaos.rs`.
 
-mod breaker;
 pub mod chaos;
 mod engine;
 mod fallback;
@@ -60,11 +60,10 @@ mod reload;
 mod replica;
 mod topk;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use engine::{InferenceSession, PruningPolicy, Recommendation, ServeConfig, ServeScratch};
 pub use stisan_retrieval::{QuantLevel, RetrievalState};
 pub use fallback::FallbackScorer;
-pub use reload::{CanaryConfig, EpochModel, ReloadReport, ReloadWatcher, Reloader, SharedModel};
+pub use reload::{EpochModel, ReloadReport, ReloadWatcher, Reloader, SharedModel};
 pub use replica::{
     EngineBackend, ReplicatedEngine, ServeFailure, ServeOutcome, ServedRec, SupervisorConfig,
     FALLBACK_REPLICA,

@@ -111,22 +111,12 @@ impl<M> SharedModel<M> {
     }
 }
 
-/// Canary gate configuration for candidate checkpoints.
-#[derive(Clone, Copy, Debug)]
-pub struct CanaryConfig {
-    /// Eval instances scored per candidate (clamped to the dataset).
-    pub instances: usize,
-    /// Candidate POIs scored per instance (clamped to the catalogue).
-    pub candidates: usize,
-}
-
-impl Default for CanaryConfig {
-    /// Two instances × 32 candidates — enough to catch NaN weights and
-    /// wrong-cardinality scorers without a measurable publish delay.
-    fn default() -> Self {
-        CanaryConfig { instances: 2, candidates: 32 }
-    }
-}
+/// The canary gate's size per candidate checkpoint: eval instances
+/// (clamped to the dataset) × candidate POIs (clamped to the catalogue) —
+/// enough to catch NaN weights and wrong-cardinality scorers without a
+/// measurable publish delay.
+const CANARY_INSTANCES: usize = 2;
+const CANARY_CANDIDATES: usize = 32;
 
 /// What one [`ReloadWatcher::poll`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -161,7 +151,6 @@ pub struct ReloadWatcher<'d, M: FrozenScorer> {
     shared: SharedModel<M>,
     data: &'d Processed,
     loader: LoaderFn<'d, M>,
-    canary: CanaryConfig,
     /// When set, every publish rebuilds + requantizes the two-stage
     /// retrieval state at this precision (validated before it is attached).
     requant: Option<QuantLevel>,
@@ -179,14 +168,12 @@ impl<'d, M: FrozenScorer + Send + Sync> ReloadWatcher<'d, M> {
         shared: SharedModel<M>,
         data: &'d Processed,
         loader: impl Fn(&Path) -> Result<M, LoadError> + Send + Sync + 'd,
-        canary: CanaryConfig,
     ) -> Self {
         ReloadWatcher {
             mgr,
             shared,
             data,
             loader: Box::new(loader),
-            canary,
             requant: None,
             health: None,
         }
@@ -301,8 +288,8 @@ impl<'d, M: FrozenScorer + Send + Sync> ReloadWatcher<'d, M> {
     /// runs on the reload loop's thread, and a publish candidate must
     /// never be able to kill it.
     fn canary_passes(&self, model: &M) -> bool {
-        let n = self.canary.instances.min(self.data.eval.len());
-        let c = self.canary.candidates.min(self.data.num_pois).max(1);
+        let n = CANARY_INSTANCES.min(self.data.eval.len());
+        let c = CANARY_CANDIDATES.min(self.data.num_pois).max(1);
         let candidates: Vec<u32> = (1..=c as u32).collect();
         let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for inst in &self.data.eval[..n] {

@@ -1,5 +1,5 @@
 //! Replicated serving with supervision: user-routed replicas, a panic
-//! boundary, circuit breaking, and degraded-mode fallback.
+//! boundary, probation, and degraded-mode fallback.
 //!
 //! ## Supervision tree
 //!
@@ -11,15 +11,18 @@
 //! process:
 //!
 //! * instances the group finished before the panic keep their results;
-//! * unfinished instances are retried once on surviving replicas;
+//! * the rest — the one in flight first — are retried once on surviving
+//!   replicas;
 //! * with no survivors they fall back to the [`FallbackScorer`]
 //!   (degraded mode) or surface as typed [`ServeFailure`]s the gateway
 //!   maps to `INTERNAL` wire errors.
 //!
-//! The panicked replica is marked down and restarted after an exponential
-//! backoff with deterministic splitmix jitter; each replica also carries a
-//! [`CircuitBreaker`] fed by panics and slow batches, so a replica that
-//! keeps failing is probed, not trusted.
+//! Each replica has one health state: up, on probation, or down. The
+//! panicked replica goes down and is restarted after an exponential backoff
+//! with deterministic splitmix jitter. A restarted replica — or any live one
+//! after an availability incident — is on probation: it admits one probe
+//! and takes full traffic again only once that probe answers, so a replica
+//! that keeps failing is probed, not trusted.
 //!
 //! ## Threads and scratch
 //!
@@ -27,7 +30,10 @@
 //! itself; each further group gets a scoped thread for the duration of the
 //! call. A batch that routes to one replica — every batch of 1 — therefore
 //! spawns nothing, and a batch spanning G replicas spawns G − 1 threads.
-//! The retry pass and the fallback also run on the caller.
+//! A group is an owned list of its requests, trace slots included; its
+//! thread hands back what it answered and what it left, so the threads
+//! share nothing but the replicas' own locks. The rescue loop — retries,
+//! then fallback — also runs on the caller.
 //!
 //! Each replica also owns `lanes = max(1, cap / replicas)` cores, `cap`
 //! being [`stisan_tensor::worker_cap`]: whoever scores on the replica, plus
@@ -58,9 +64,8 @@
 //! (counters), `gateway.replicas_total` / `gateway.replicas_healthy`
 //! (gauges).
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -69,7 +74,6 @@ use stisan_eval::FrozenScorer;
 use stisan_obs::{Stage, TraceCtx};
 use stisan_tensor::Lanes;
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::chaos::splitmix64;
 use crate::engine::{
     publish_retrieval_gauges, InferenceSession, Recommendation, ServeConfig, ServeScratch,
@@ -79,6 +83,9 @@ use crate::reload::{EpochModel, SharedModel};
 
 /// Sentinel replica id reported by degraded-mode (fallback) answers.
 pub const FALLBACK_REPLICA: u16 = u16::MAX;
+
+/// Seed of the deterministic restart-backoff jitter.
+const JITTER_SEED: u64 = 0x5715_A000_0000_0001;
 
 /// One successfully served request, attributed to the replica and weight
 /// epoch that produced it.
@@ -150,12 +157,6 @@ pub struct SupervisorConfig {
     pub restart_base_us: u64,
     /// Backoff ceiling, µs.
     pub restart_max_us: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
-    /// Per-replica circuit-breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Batches slower than this count as breaker failures (0 disables).
-    pub slow_batch_us: u64,
     /// Answer from the [`FallbackScorer`] when no replica is routable;
     /// with `false`, such requests fail as typed errors instead.
     pub fallback: bool,
@@ -168,9 +169,6 @@ impl Default for SupervisorConfig {
             replicas: 2,
             restart_base_us: 50_000,
             restart_max_us: 2_000_000,
-            jitter_seed: 0x5715_A000_0000_0001,
-            breaker: BreakerConfig::default(),
-            slow_batch_us: 0,
             fallback: true,
         }
     }
@@ -182,23 +180,44 @@ fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Whether a replica takes traffic.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Health {
+    /// Trusted with every request routed to it.
+    Up,
+    /// Restarted, or suspect after an availability incident: admits one
+    /// probe (`probing` from then on) and refuses further traffic until
+    /// the probe answers (→ `Up`) or panics (→ `Down`).
+    Probation { probing: bool },
+    /// Crashed; [`ReplicatedEngine::tick`] puts it on probation once the
+    /// clock reaches `restart_at_us`.
+    Down { restart_at_us: u64 },
+}
+
+impl Health {
+    fn is_down(self) -> bool {
+        matches!(self, Health::Down { .. })
+    }
+}
+
 /// Mutable supervisor state for one replica.
 struct ReplicaState {
-    up: bool,
-    breaker: CircuitBreaker,
-    restart_at_us: u64,
+    health: Health,
+    /// Restarts since the replica last answered: the backoff step.
     restart_attempts: u32,
 }
 
-/// State shared with whichever thread scores one replica group. The pending /
-/// done split is what makes panic recovery lossless: items still in
-/// `pending` after a panic are retried with their trace slots intact.
-struct GroupCtx<'i, 't> {
-    replica: u16,
-    pending: Mutex<VecDeque<(usize, &'i EvalInstance, Option<&'t mut TraceCtx>)>>,
-    done: Mutex<Vec<(usize, Recommendation)>>,
-    panicked: AtomicBool,
-    elapsed_us: AtomicU64,
+/// One replica group's requests: batch index, instance, trace slot.
+type Group<'i, 't> = Vec<(usize, &'i EvalInstance, &'t mut TraceCtx)>;
+
+/// What scoring one group produced.
+struct Scored<'i, 't> {
+    replica: usize,
+    /// Answers by batch index, each stamped [`Stage::Scored`] as it finished.
+    answered: Vec<(usize, Recommendation)>,
+    /// Empty unless the scorer panicked: the requests it left, the one in
+    /// flight first, with their trace slots.
+    left: Group<'i, 't>,
 }
 
 /// N supervised replicas over one hot-reloadable model (see module docs).
@@ -247,14 +266,7 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
     ) -> Self {
         let sup = SupervisorConfig { replicas: sup.replicas.max(1), ..sup };
         let replicas = (0..sup.replicas)
-            .map(|_| {
-                Mutex::new(ReplicaState {
-                    up: true,
-                    breaker: CircuitBreaker::new(sup.breaker),
-                    restart_at_us: 0,
-                    restart_attempts: 0,
-                })
-            })
+            .map(|_| Mutex::new(ReplicaState { health: Health::Up, restart_attempts: 0 }))
             .collect();
         let fallback = FallbackScorer::build(data);
         if let Some(state) = &model.current().retrieval {
@@ -284,9 +296,9 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
 
     /// Couples the pool to the SLO engine's [`stisan_obs::HealthSignal`]:
     /// each availability *incident* (rising edge of the availability burn
-    /// alert) marks every replica suspect — its breaker drops to half-open
-    /// probation, so admitted traffic is probed and further failures trip
-    /// the breaker instead of being trusted.
+    /// alert) marks every replica suspect — a live replica goes on
+    /// probation, so it takes one probe and full traffic again only once
+    /// that probe answers.
     pub fn with_health(mut self, health: stisan_obs::HealthSignal) -> Self {
         self.seen_incidents = AtomicU64::new(health.incidents());
         self.health = Some(health);
@@ -304,15 +316,10 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
         self.lanes.iter().map(|l| l.helper_allocs()).sum()
     }
 
-    /// Configured replica count.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Replicas currently up (restarted replicas count as up while their
-    /// breaker probes them).
+    /// Replicas currently not down (restarted replicas count while on
+    /// probation).
     pub fn healthy_count(&self) -> usize {
-        self.replicas.iter().filter(|r| plock(r).up).count()
+        self.replicas.iter().filter(|r| !plock(r).health.is_down()).count()
     }
 
     fn now_us(&self) -> u64 {
@@ -330,72 +337,78 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
         let base = self.sup.restart_base_us.max(1);
         let exp = base.saturating_mul(1u64 << attempt.min(20));
         let capped = exp.min(self.sup.restart_max_us.max(base));
-        let jitter =
-            splitmix64(self.sup.jitter_seed, (replica as u64) << 32 | attempt as u64) % base;
+        let jitter = splitmix64(JITTER_SEED, (replica as u64) << 32 | attempt as u64) % base;
         capped + jitter
     }
 
-    /// Revives replicas whose restart backoff has elapsed. Called at the
-    /// head of every batch; callable directly from tests.
+    /// Puts replicas whose restart backoff has elapsed on probation — and,
+    /// after an availability incident (alert rising edge) since the last
+    /// tick, every live replica too. Called at the head of every batch;
+    /// callable directly from tests.
     pub fn tick(&self) {
         let now = self.now_us();
-        // An availability incident (alert rising edge) since the last tick
-        // puts every replica on probation: the breaker re-proves each one
-        // with probes before trusting it with full traffic again.
-        if let Some(h) = &self.health {
+        let incident = self.health.as_ref().is_some_and(|h| {
             let inc = h.incidents();
-            if inc > self.seen_incidents.swap(inc, Ordering::SeqCst) {
-                for state in &self.replicas {
-                    plock(state).breaker.begin_probation();
-                }
-                stisan_obs::counter("gateway.replica_suspect_total", self.replicas.len() as u64);
-            }
+            inc > self.seen_incidents.swap(inc, Ordering::SeqCst)
+        });
+        if incident {
+            stisan_obs::counter("gateway.replica_suspect_total", self.replicas.len() as u64);
         }
         let mut healthy = 0usize;
         for state in &self.replicas {
             let mut s = plock(state);
-            if !s.up && now >= s.restart_at_us {
-                s.up = true;
-                s.breaker.begin_probation();
-                stisan_obs::counter("gateway.replica_restarts_total", 1);
+            match s.health {
+                Health::Down { restart_at_us } if now >= restart_at_us => {
+                    s.health = Health::Probation { probing: false };
+                    stisan_obs::counter("gateway.replica_restarts_total", 1);
+                }
+                Health::Up | Health::Probation { .. } if incident => {
+                    s.health = Health::Probation { probing: false };
+                }
+                _ => {}
             }
-            if s.up {
+            if !s.health.is_down() {
                 healthy += 1;
             }
         }
         stisan_obs::gauge("gateway.replicas_healthy", healthy as f64);
     }
 
-    /// Marks a replica down after a panic and schedules its restart.
+    /// Takes a replica down after a panic and schedules its restart at the
+    /// next backoff step.
     fn mark_down(&self, replica: usize) {
         let now = self.now_us();
         let mut s = plock(&self.replicas[replica]);
-        s.breaker.on_failure(now);
-        if s.up {
-            s.up = false;
+        if !s.health.is_down() {
+            let restart_at_us = now + self.backoff_us(replica, s.restart_attempts);
+            s.health = Health::Down { restart_at_us };
             s.restart_attempts = s.restart_attempts.saturating_add(1);
-            s.restart_at_us = now + self.backoff_us(replica, s.restart_attempts - 1);
         }
-        stisan_obs::counter("gateway.replica_panics_total", 1);
         drop(s);
+        stisan_obs::counter("gateway.replica_panics_total", 1);
         stisan_obs::gauge("gateway.replicas_healthy", self.healthy_count() as f64);
     }
 
-    /// Whether `replica` may take traffic now; consumes a breaker probe
-    /// slot when half-open.
+    /// Whether `replica` may take traffic now; admitting a replica on
+    /// probation spends its one probe.
     fn admit(&self, replica: usize) -> bool {
-        let now = self.now_us();
         let mut s = plock(&self.replicas[replica]);
-        s.up && s.breaker.allow(now)
+        match s.health {
+            Health::Up => true,
+            Health::Probation { probing: false } => {
+                s.health = Health::Probation { probing: true };
+                true
+            }
+            Health::Probation { probing: true } | Health::Down { .. } => false,
+        }
     }
 
-    fn on_group_success(&self, replica: usize, elapsed_us: u64) {
+    /// A group or retry on `replica` answered: a live replica is `Up` (its
+    /// probation, if any, passed) and its backoff streak starts over.
+    fn on_success(&self, replica: usize) {
         let mut s = plock(&self.replicas[replica]);
-        if self.sup.slow_batch_us > 0 && elapsed_us > self.sup.slow_batch_us {
-            let now = self.now_us();
-            s.breaker.on_failure(now);
-        } else {
-            s.breaker.on_success();
+        if !s.health.is_down() {
+            s.health = Health::Up;
             s.restart_attempts = 0;
         }
     }
@@ -428,25 +441,50 @@ impl<'d, M: FrozenScorer + Send + Sync> ReplicatedEngine<'d, M> {
         res
     }
 
-    /// Scores one replica group to exhaustion (or to its scorer's panic) on
-    /// the current thread.
-    fn score_group(&self, g: &GroupCtx, epoch: &EpochModel<M>) {
-        let t0 = Instant::now();
+    /// Scores replica `r`'s group in order on the current thread, to the end
+    /// or to its scorer's panic.
+    fn score_group<'i, 't>(
+        &self,
+        r: usize,
+        mut group: Group<'i, 't>,
+        epoch: &EpochModel<M>,
+    ) -> Scored<'i, 't> {
         let session = self.session(epoch);
-        let res = self.with_scratch(g.replica as usize, |scratch| loop {
-            let item = plock(&g.pending).pop_front();
-            let Some((i, inst, mut tr)) = item else { break };
-            let mut rec = Recommendation::default();
-            session.serve_one_into(inst, scratch, &mut rec);
-            if let Some(t) = tr.as_mut() {
-                t.stamp(Stage::Scored);
+        let mut answered = Vec::with_capacity(group.len());
+        let res = self.with_scratch(r, |scratch| {
+            for (i, inst, tr) in group.iter_mut() {
+                let mut rec = Recommendation::default();
+                session.serve_one_into(inst, scratch, &mut rec);
+                tr.stamp(Stage::Scored);
+                answered.push((*i, rec));
             }
-            plock(&g.done).push((i, rec));
         });
-        if res.is_err() {
-            g.panicked.store(true, Ordering::SeqCst);
-        }
-        g.elapsed_us.store(t0.elapsed().as_micros() as u64, Ordering::SeqCst);
+        let left = if res.is_err() { group.split_off(answered.len()) } else { Vec::new() };
+        Scored { replica: r, answered, left }
+    }
+
+    /// The one retry of a request whose replica `from` panicked: the first
+    /// other admitted replica that answers it. Each one that panics instead
+    /// goes down.
+    fn retry(&self, inst: &EvalInstance, from: usize, epoch: &EpochModel<M>) -> Option<ServedRec> {
+        stisan_obs::counter("gateway.replica_retries_total", 1);
+        let session = self.session(epoch);
+        (0..self.replicas.len()).filter(|&r| r != from).find_map(|r| {
+            if !self.admit(r) {
+                return None;
+            }
+            let mut rec = Recommendation::default();
+            match self.with_scratch(r, |scratch| session.serve_one_into(inst, scratch, &mut rec)) {
+                Ok(()) => {
+                    self.on_success(r);
+                    Some(ServedRec { rec, replica: r as u16, epoch: epoch.epoch, degraded: false })
+                }
+                Err(_) => {
+                    self.mark_down(r);
+                    None
+                }
+            }
+        })
     }
 
     /// Serves one request on the fallback scorer (cannot panic).
@@ -475,154 +513,78 @@ impl<M: FrozenScorer + Send + Sync> EngineBackend for ReplicatedEngine<'_, M> {
         let n = self.replicas.len();
         // One epoch snapshot for the entire batch: the no-torn-reads
         // invariant lives on this line.
-        let epoch = self.model.current();
+        let snapshot = self.model.current();
+        let epoch: &EpochModel<M> = &snapshot;
+        debug_assert_eq!(traces.len(), insts.len(), "traces misaligned");
 
         // Route each instance: primary by user hash, then the next admitted
-        // replica, else degraded/failed.
+        // replica (each asked once per batch); what none admits is rescued.
         let mut admitted: Vec<Option<bool>> = vec![None; n];
-        let mut admit_cached = |engine: &Self, r: usize| -> bool {
-            *admitted[r].get_or_insert_with(|| engine.admit(r))
-        };
-        let mut slots: Vec<Option<&mut TraceCtx>> = traces.iter_mut().map(Some).collect();
-        debug_assert_eq!(slots.len(), insts.len(), "traces misaligned");
-        let groups: Vec<GroupCtx> = (0..n)
-            .map(|r| GroupCtx {
-                replica: r as u16,
-                pending: Mutex::new(VecDeque::new()),
-                done: Mutex::new(Vec::new()),
-                panicked: AtomicBool::new(false),
-                elapsed_us: AtomicU64::new(0),
-            })
-            .collect();
-        let mut unrouted: Vec<(usize, Option<&mut TraceCtx>)> = Vec::new();
-        let mut assignment: Vec<u16> = vec![FALLBACK_REPLICA; insts.len()];
-        for (i, (inst, slot)) in insts.iter().zip(slots.iter_mut()).enumerate() {
+        let mut groups: Vec<Group> = (0..n).map(|_| Vec::new()).collect();
+        let mut unrouted: Group = Vec::new();
+        for (i, (inst, tr)) in insts.iter().zip(traces.iter_mut()).enumerate() {
             let primary = self.primary_for(inst.user);
-            let chosen = (0..n).map(|k| (primary + k) % n).find(|&r| admit_cached(self, r));
+            let chosen = (0..n)
+                .map(|k| (primary + k) % n)
+                .find(|&r| *admitted[r].get_or_insert_with(|| self.admit(r)));
             match chosen {
-                Some(r) => {
-                    assignment[i] = r as u16;
-                    plock(&groups[r].pending).push_back((i, inst, slot.take()));
-                }
-                None => unrouted.push((i, slot.take())),
+                Some(r) => groups[r].push((i, inst, tr)),
+                None => unrouted.push((i, inst, tr)),
             }
         }
 
-        // Score every non-empty group behind the panic boundary: the other
-        // groups on scoped threads (spawned first, so they overlap), one on
-        // this thread. `score_group` catches its scorer's panic itself, so
-        // the scope has nothing to re-raise on join.
-        let active: Vec<&GroupCtx> =
-            groups.iter().filter(|g| !plock(&g.pending).is_empty()).collect();
-        if let Some((inline, spawned)) = active.split_first() {
-            std::thread::scope(|scope| {
-                for &g in spawned {
-                    let epoch = &*epoch;
-                    scope.spawn(move || self.score_group(g, epoch));
-                }
-                self.score_group(inline, &epoch);
-            });
-        }
-        drop(active);
+        // Score every non-empty group behind the panic boundary: the others
+        // on scoped threads (spawned first, so they overlap), the first on
+        // this thread. Each thread returns its group scored; `score_group`
+        // catches its scorer's panic itself, so a failed join is a panic
+        // outside the boundary and is re-raised.
+        let mut active = groups.into_iter().enumerate().filter(|(_, g)| !g.is_empty());
+        let scored: Vec<Scored> = std::thread::scope(|scope| {
+            let inline = active.next();
+            let spawned: Vec<_> = active
+                .map(|(r, g)| scope.spawn(move || self.score_group(r, g, epoch)))
+                .collect();
+            let inline = inline.map(|(r, g)| self.score_group(r, g, epoch));
+            let joined = spawned.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+            inline.into_iter().chain(joined).collect()
+        });
 
-        // Harvest: successes, then supervision for panicked groups.
-        let mut out: Vec<Option<ServeOutcome>> = (0..insts.len()).map(|_| None).collect();
-        let mut retry: Vec<(usize, Option<&mut TraceCtx>, u16)> = Vec::new();
-        for g in groups {
-            let replica = g.replica;
-            let panicked = g.panicked.load(Ordering::SeqCst);
-            let elapsed = g.elapsed_us.load(Ordering::SeqCst);
-            let done = g.done.into_inner().unwrap_or_else(PoisonError::into_inner);
-            let had_work = !done.is_empty() || panicked;
-            for (i, rec) in done {
-                out[i] = Some(Ok(ServedRec { rec, replica, epoch: epoch.epoch, degraded: false }));
+        // Harvest answers and supervise; keep what panicked groups left.
+        let mut out: Vec<ServeOutcome> = vec![Err(ServeFailure::Unavailable); insts.len()];
+        let mut rescue = Vec::new();
+        for s in scored {
+            for (i, rec) in s.answered {
+                let replica = s.replica as u16;
+                out[i] = Ok(ServedRec { rec, replica, epoch: epoch.epoch, degraded: false });
             }
-            if panicked {
-                self.mark_down(replica as usize);
-                // Items still pending keep their trace slots; the one
-                // in-flight at the panic lost its slot but is recovered by
-                // index below.
-                let pending = g.pending.into_inner().unwrap_or_else(PoisonError::into_inner);
-                for (i, _inst, tr) in pending {
-                    retry.push((i, tr, replica));
-                }
-            } else if had_work {
-                self.on_group_success(replica as usize, elapsed);
-            }
-        }
-        // Indices assigned but not yet answered or queued for retry: the
-        // instance a panicking worker was holding (its trace slot died with
-        // the worker; the instance itself is recovered by index).
-        for i in 0..insts.len() {
-            let lost = out[i].is_none()
-                && assignment[i] != FALLBACK_REPLICA
-                && !retry.iter().any(|(j, _, _)| *j == i);
-            if lost {
-                retry.push((i, None, assignment[i]));
-            }
-        }
-
-        // One retry pass on surviving replicas, then fallback.
-        for (i, mut tr, from) in retry {
-            stisan_obs::counter("gateway.replica_retries_total", 1);
-            let inst = &insts[i];
-            let mut served: Option<ServeOutcome> = None;
-            for r in 0..n {
-                if r as u16 == from || !self.admit(r) {
-                    continue;
-                }
-                let session = self.session(&epoch);
-                let mut rec = Recommendation::default();
-                match self.with_scratch(r, |scratch| session.serve_one_into(inst, scratch, &mut rec))
-                {
-                    Ok(()) => {
-                        if let Some(t) = tr.as_mut() {
-                            t.stamp(Stage::Scored);
-                        }
-                        plock(&self.replicas[r]).breaker.on_success();
-                        served = Some(Ok(ServedRec {
-                            rec,
-                            replica: r as u16,
-                            epoch: epoch.epoch,
-                            degraded: false,
-                        }));
-                        break;
-                    }
-                    Err(_) => self.mark_down(r),
-                }
-            }
-            let outcome = served.unwrap_or_else(|| {
-                if self.sup.fallback {
-                    let rec = self.serve_fallback(inst, epoch.epoch);
-                    if let Some(t) = tr.as_mut() {
-                        t.stamp(Stage::Scored);
-                    }
-                    Ok(rec)
-                } else if from == FALLBACK_REPLICA {
-                    Err(ServeFailure::Unavailable)
-                } else {
-                    Err(ServeFailure::ReplicaPanic { replica: from })
-                }
-            });
-            out[i] = Some(outcome);
-        }
-
-        // Requests that never found a routable replica: degraded mode.
-        for (i, mut tr) in unrouted {
-            let outcome = if self.sup.fallback {
-                let rec = self.serve_fallback(&insts[i], epoch.epoch);
-                if let Some(t) = tr.as_mut() {
-                    t.stamp(Stage::Scored);
-                }
-                Ok(rec)
+            if s.left.is_empty() {
+                self.on_success(s.replica);
             } else {
-                Err(ServeFailure::Unavailable)
+                self.mark_down(s.replica);
+                let from = Some(s.replica);
+                rescue.extend(s.left.into_iter().map(|(i, inst, tr)| (i, inst, tr, from)));
+            }
+        }
+
+        // Rescue: a panicked group's leftovers get one retry on a surviving
+        // replica, then — like requests no replica admitted — the fallback.
+        let unrouted = unrouted.into_iter().map(|(i, inst, tr)| (i, inst, tr, None));
+        for (i, inst, tr, from) in rescue.into_iter().chain(unrouted) {
+            let outcome = match from.and_then(|from| self.retry(inst, from, epoch)) {
+                Some(served) => Ok(served),
+                None if self.sup.fallback => Ok(self.serve_fallback(inst, epoch.epoch)),
+                None => Err(from.map_or(ServeFailure::Unavailable, |r| {
+                    ServeFailure::ReplicaPanic { replica: r as u16 }
+                })),
             };
-            out[i] = Some(outcome);
+            if outcome.is_ok() {
+                tr.stamp(Stage::Scored);
+            }
+            out[i] = outcome;
         }
 
         stisan_obs::gauge("gateway.replicas_healthy", self.healthy_count() as f64);
-        out.into_iter().map(|o| o.unwrap_or(Err(ServeFailure::Unavailable))).collect()
+        out
     }
 }
 
@@ -874,6 +836,17 @@ mod tests {
         assert!(distinct.len() > 1, "all users routed to one replica");
     }
 
+    /// Every `Ok` outcome's trace was stamped [`Stage::Scored`] in order —
+    /// including the request a replica was scoring when it panicked.
+    fn assert_answered_traces(outs: &[ServeOutcome], traces: &[TraceCtx]) {
+        for (i, (out, t)) in outs.iter().zip(traces).enumerate() {
+            if out.is_ok() {
+                assert!(t.get(Stage::Scored).is_some(), "request {i}: answered but never stamped");
+                assert!(t.is_monotonic(), "request {i}");
+            }
+        }
+    }
+
     #[test]
     fn panic_kills_one_replica_and_survivors_absorb() {
         let p = processed();
@@ -890,6 +863,7 @@ mod tests {
         let answered = outs.iter().filter(|o| o.is_ok()).count();
         assert_eq!(answered, p.eval.len(), "survivors + retry must answer everything");
         assert_eq!(eng.healthy_count(), 2, "exactly one replica down");
+        assert_answered_traces(&outs, &traces);
 
         // Answers are still bit-identical to a direct session (the retried
         // instances rescored on a survivor with the same epoch snapshot).
@@ -901,6 +875,91 @@ mod tests {
                 assert_eq!(served.rec.items, direct.serve_one(inst).items);
             }
         }
+
+        // A batch of 1 whose only request is in flight when its replica
+        // panics: the survivor answers it, and its trace is stamped.
+        let plan = ChaosPlan::new();
+        let scorer = ChaosScorer::new(WeightedPrior::seeded(p.num_pois, 3), plan.clone());
+        let shared = SharedModel::new(scorer, 1);
+        let eng = ReplicatedEngine::new(shared, &p, ServeConfig::default(), sup(2));
+        plan.arm_panic(1);
+        let inst = &p.eval[0];
+        let mut traces = vec![TraceCtx::new(0)];
+        let outs = eng.serve_outcomes(std::slice::from_ref(inst), 0, &mut traces);
+        let served = outs[0].as_ref().expect("the survivor answers");
+        assert_eq!(served.replica as usize, 1 - eng.primary_for(inst.user));
+        assert_eq!(served.rec.items, direct.serve_one(inst).items);
+        assert_answered_traces(&outs, &traces);
+    }
+
+    fn health(eng: &ReplicatedEngine<WeightedPrior>, r: usize) -> (Health, u32) {
+        let s = plock(&eng.replicas[r]);
+        (s.health, s.restart_attempts)
+    }
+
+    /// Backoff from 1 ms, so a test can wait a restart out.
+    fn fast_restarts(replicas: usize) -> SupervisorConfig {
+        SupervisorConfig { restart_base_us: 1_000, restart_max_us: 1_000_000, ..sup(replicas) }
+    }
+
+    fn revive(eng: &ReplicatedEngine<WeightedPrior>) {
+        while eng.healthy_count() < eng.replicas.len() {
+            eng.tick();
+        }
+    }
+
+    #[test]
+    fn a_restarted_replica_admits_one_probe_until_it_answers() {
+        let p = processed();
+        let shared = SharedModel::new(WeightedPrior::seeded(p.num_pois, 3), 1);
+        let eng = ReplicatedEngine::new(shared, &p, ServeConfig::default(), fast_restarts(2));
+        eng.mark_down(0);
+        assert!(!eng.admit(0), "a down replica takes no traffic");
+        revive(&eng);
+        assert_eq!(health(&eng, 0), (Health::Probation { probing: false }, 1));
+        assert!(eng.admit(0), "probation admits a probe");
+        assert!(!eng.admit(0), "and refuses more until the probe answers");
+        assert!(eng.admit(1), "the other replica is untouched");
+        eng.on_success(0);
+        assert_eq!(health(&eng, 0), (Health::Up, 0), "an answered probe ends the streak");
+        assert!(eng.admit(0) && eng.admit(0));
+    }
+
+    #[test]
+    fn a_panicking_probe_goes_down_with_the_next_backoff_step() {
+        let p = processed();
+        let shared = SharedModel::new(WeightedPrior::seeded(p.num_pois, 3), 1);
+        let eng = ReplicatedEngine::new(shared, &p, ServeConfig::default(), fast_restarts(2));
+        eng.mark_down(0);
+        revive(&eng);
+        assert!(eng.admit(0));
+        let before = eng.now_us();
+        eng.mark_down(0);
+        let after = eng.now_us();
+        let (Health::Down { restart_at_us }, 2) = health(&eng, 0) else {
+            panic!("the probe's panic must take the replica down: {:?}", health(&eng, 0))
+        };
+        let step = eng.backoff_us(0, 1);
+        assert!(step > eng.backoff_us(0, 0), "the backoff doubles");
+        assert!((before + step..=after + step).contains(&restart_at_us));
+    }
+
+    #[test]
+    fn an_incident_probes_live_replicas_and_leaves_down_ones_down() {
+        let p = processed();
+        let shared = SharedModel::new(WeightedPrior::seeded(p.num_pois, 3), 1);
+        let signal = stisan_obs::HealthSignal::default();
+        let eng = ReplicatedEngine::new(shared, &p, ServeConfig::default(), sup(3))
+            .with_health(signal.clone());
+        plock(&eng.replicas[1]).health = Health::Probation { probing: true };
+        eng.mark_down(2);
+        let down = health(&eng, 2);
+        signal.set(true, true);
+        eng.tick();
+        assert_eq!(health(&eng, 0), (Health::Probation { probing: false }, 0));
+        assert_eq!(health(&eng, 1), (Health::Probation { probing: false }, 0));
+        assert_eq!(health(&eng, 2), down, "a down replica waits out its backoff");
+        assert_eq!(eng.healthy_count(), 2);
     }
 
     #[test]

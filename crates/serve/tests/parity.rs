@@ -9,7 +9,7 @@
 
 use stisan_core::{StiSan, StisanConfig};
 use stisan_data::{generate, preprocess, DatasetPreset, GenConfig, PrepConfig, Processed};
-use stisan_eval::{build_candidates, FrozenScorer, Recommender};
+use stisan_eval::{build_candidates, FrozenScorer};
 use stisan_models::common::TrainConfig;
 use stisan_models::{AttentionMode, PositionMode, SasRec, TiSasRec};
 

@@ -18,7 +18,7 @@ use stisan_nn::{fault, CheckpointManager};
 use stisan_obs::TraceCtx;
 use stisan_serve::chaos::WeightedPrior;
 use stisan_serve::{
-    CanaryConfig, EngineBackend, InferenceSession, ReloadWatcher, ReplicatedEngine, ServeConfig,
+    EngineBackend, InferenceSession, ReloadWatcher, ReplicatedEngine, ServeConfig,
     SharedModel, SupervisorConfig,
 };
 
@@ -56,7 +56,6 @@ fn watcher<'d>(
         shared,
         p,
         move |path| WeightedPrior::load(path, num_pois),
-        CanaryConfig::default(),
     )
 }
 
@@ -239,9 +238,9 @@ fn firing_availability_alert_vetoes_publish_until_recovery() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Alert→breaker coupling: an availability *incident* (rising edge) puts
-/// every replica's breaker into half-open probation on the next tick — the
-/// pool still answers (probes are admitted), and repeated incidents do not
+/// Alert→supervisor coupling: an availability *incident* (rising edge) puts
+/// every live replica on probation on the next tick — the pool still
+/// answers (probes are admitted), and repeated incidents do not
 /// re-trip without a new rising edge.
 #[test]
 fn availability_incident_marks_replicas_suspect() {
@@ -281,7 +280,7 @@ fn availability_incident_marks_replicas_suspect() {
     assert_eq!(suspects(), before + 3);
 
     // Probation does not take the pool down: probes are admitted, succeed,
-    // and close the breakers again.
+    // and bring the replicas back up.
     let mut traces: Vec<TraceCtx> =
         (0..p.eval.len()).map(|i| TraceCtx::new(i as u64)).collect();
     let outs = eng.serve_outcomes(&p.eval, 2, &mut traces);

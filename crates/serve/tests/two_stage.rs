@@ -17,7 +17,7 @@ use stisan_data::{generate, preprocess, DatasetPreset, EvalInstance, GenConfig, 
 use stisan_eval::{FrozenScorer, Recommender};
 use stisan_nn::{CheckpointManager, LoadError, ParamStore};
 use stisan_serve::{
-    CanaryConfig, InferenceSession, PruningPolicy, QuantLevel, ReloadWatcher, ServeConfig,
+    InferenceSession, PruningPolicy, QuantLevel, ReloadWatcher, ServeConfig,
     SharedModel,
 };
 use stisan_tensor::Array;
@@ -283,7 +283,6 @@ fn reload_requantizes_on_publish_and_rejects_bad_tables() {
         shared.clone(),
         &p,
         move |path| TableModel::load(path, rows, d),
-        CanaryConfig::default(),
     )
     .with_retrieval(QuantLevel::F16);
 

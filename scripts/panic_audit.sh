@@ -43,7 +43,7 @@ fi
 # Allocator-hook code gets zero tolerance, allowlist or not: a panic inside
 # a GlobalAlloc hook aborts the process, and the flame recorder runs on the
 # serving hot path. The fault-tolerance layer (reload watcher, replica
-# supervisor, circuit breaker, fallback scorer) joins the set: its entire
+# supervisor, fallback scorer) joins the set: its entire
 # purpose is absorbing panics, so the only sanctioned panic surface is the
 # catch_unwind boundary in replica.rs — poison-tolerant locking
 # (`unwrap_or_else(PoisonError::into_inner)`) everywhere else.
@@ -52,7 +52,6 @@ ZERO_TOLERANCE=(
     crates/obs/src/flame.rs
     crates/serve/src/reload.rs
     crates/serve/src/replica.rs
-    crates/serve/src/breaker.rs
     crates/serve/src/fallback.rs
     # The arena hands out scratch storage on every request of every serving
     # worker; a panic here (e.g. on a poisoned pool) would take down the
@@ -71,6 +70,10 @@ ZERO_TOLERANCE=(
 
 fail=0
 for file in "${ZERO_TOLERANCE[@]}"; do
+    if [ ! -f "$file" ]; then
+        echo "panic_audit: FAILED — $file is held to zero tolerance but does not exist; fix the list" >&2
+        exit 1
+    fi
     count=$(count_panics "$file")
     if [ "${count:-0}" -gt 0 ]; then
         echo "panic_audit: $file has $count unwrap/expect calls — zero tolerated in allocator/profiler hooks (allowlist does not apply)" >&2
