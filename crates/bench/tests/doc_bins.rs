@@ -1,8 +1,9 @@
 //! Every `--bin <name>` / `--bench <name>` the docs tell a reader to run must
 //! name a target that exists in the workspace (targets are auto-discovered:
 //! `crates/*/src/bin/<name>.rs` or `<name>/main.rs`, `crates/*/benches/<name>.rs`),
-//! and every source file or item the docs cite must still exist.
+//! and every source file, item or enum variant the docs cite must still exist.
 
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 const DOCS: [&str; 4] =
@@ -108,4 +109,84 @@ fn docs_cite_only_sources_that_exist() {
         }
     }
     assert!(stale.is_empty(), "docs cite sources that no longer exist: {stale:#?}");
+}
+
+/// Variant names of every `enum` defined in `sources`, keyed by enum name
+/// (enums that share a name pool their variants). A variant is an
+/// identifier directly inside the enum's braces that follows the opening
+/// brace, a comma or an attribute's closing bracket.
+fn enum_variants(sources: &[PathBuf]) -> HashMap<String, HashSet<String>> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut enums: HashMap<String, HashSet<String>> = HashMap::new();
+    for file in sources {
+        let src = std::fs::read_to_string(file).expect("source is readable");
+        for (i, _) in src.match_indices("enum ") {
+            let line_start = src[..i].rfind('\n').map_or(0, |p| p + 1);
+            if !["", "pub", "pub(crate)", "pub(super)"].contains(&src[line_start..i].trim()) {
+                continue;
+            }
+            let name: String = src[i + 5..].chars().take_while(|&c| is_ident(c)).collect();
+            let Some(open) = src[i..].find('{') else { continue };
+            let variants = enums.entry(name).or_default();
+            let mut body = src[i + open + 1..].chars().peekable();
+            let (mut depth, mut prev) = (1usize, '{');
+            while let Some(c) = body.next() {
+                match c {
+                    '/' if body.peek() == Some(&'/') => {
+                        body.by_ref().find(|&c| c == '\n');
+                    }
+                    '{' | '(' | '[' => (depth, prev) = (depth + 1, c),
+                    '}' | ')' | ']' if depth == 1 => break,
+                    '}' | ')' | ']' => (depth, prev) = (depth - 1, c),
+                    c if c.is_whitespace() => {}
+                    c if is_ident(c) => {
+                        let mut ident = String::from(c);
+                        while let Some(&n) = body.peek().filter(|&&n| is_ident(n)) {
+                            ident.push(n);
+                            body.next();
+                        }
+                        if depth == 1 && matches!(prev, '{' | ',' | ']') {
+                            variants.insert(ident);
+                        }
+                        prev = 'a';
+                    }
+                    c => prev = c,
+                }
+            }
+        }
+    }
+    enums
+}
+
+/// Every backticked `Enum::Variant` the docs cite, where `Enum` is an enum
+/// the workspace defines, names a variant that enum still has.
+#[test]
+fn docs_cite_only_enum_variants_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sources = Vec::new();
+    rust_files(&root.join("crates"), &mut sources);
+    let enums = enum_variants(&sources);
+    assert!(
+        enums.get("QuantLevel").is_some_and(|v| v.contains("I8")),
+        "the enum scan no longer finds `QuantLevel::I8`"
+    );
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut stale = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for line in text.lines() {
+            for code in line.split('`').skip(1).step_by(2) {
+                for (i, _) in code.match_indices("::") {
+                    let head = &code[..i];
+                    let start = head.rfind(|c: char| !is_ident(c)).map_or(0, |p| p + 1);
+                    let Some(variants) = enums.get(&head[start..]) else { continue };
+                    let name: String = code[i + 2..].chars().take_while(|&c| is_ident(c)).collect();
+                    if name.starts_with(char::is_uppercase) && !variants.contains(&name) {
+                        stale.push(format!("{doc}: {}::{name}", &head[start..]));
+                    }
+                }
+            }
+        }
+    }
+    assert!(stale.is_empty(), "docs cite enum variants that no longer exist: {stale:#?}");
 }

@@ -684,7 +684,7 @@ impl StiSan {
         if let (Some(mgr), Some(c)) = (&manager, ckpt) {
             if c.resume {
                 if let Some(res) = mgr.load_latest_valid(&mut self.store)? {
-                    // A v1 / weights-only file restores the parameters but
+                    // A weights-only file restores the parameters but
                     // carries no trainer state: keep the loaded weights and
                     // train the full schedule from epoch 0.
                     if let Some(trainer) = res.trainer {

@@ -1,6 +1,7 @@
 //! The tentpole guarantee: training interrupted at a checkpoint and resumed
-//! in a fresh process is bit-identical to uninterrupted training, and v1
-//! (weights-only) checkpoint files still load.
+//! in a fresh process is bit-identical to uninterrupted training; a
+//! weights-only checkpoint resumes from epoch 0, and recovery skips files in
+//! the retired CRC-less v1 layout.
 
 use std::path::PathBuf;
 
@@ -112,29 +113,39 @@ fn resuming_a_finished_run_is_a_noop() {
 }
 
 #[test]
-fn v1_checkpoint_still_loads_weights_only() {
+fn weights_only_checkpoint_resumes_from_epoch_zero_past_a_v1_file() {
     let p = processed();
-    let dir = tmpdir("v1compat");
+    let dir = tmpdir("weights_only");
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut trained = StiSan::new(&p, cfg(1));
     trained.fit(&p);
-    // A pre-v2 checkpoint: the legacy weights-only layout, no CRC footer.
+    // A weights-only checkpoint: no trainer state, so no epoch count.
     let path = dir.join("ckpt-00000001.stsn");
-    std::fs::write(&path, &trained.param_store().to_bytes_v1()[..]).unwrap();
+    trained.param_store().save_file(&path).unwrap();
+    // A newer file in the retired v1 layout: the same weights with no
+    // trainer flag and no CRC footer, version word 1.
+    let v2 = trained.param_store().to_bytes();
+    let mut v1 = v2[..v2.len() - 5].to_vec();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let v1_path = dir.join("ckpt-00000002.stsn");
+    std::fs::write(&v1_path, &v1).unwrap();
 
-    // Direct load accepts it.
+    // Direct load accepts the weights-only file and refuses the v1 one.
     let mut loaded = StiSan::new(&p, cfg(1));
     loaded.load(&path).unwrap();
     assert_same_weights(&trained, &loaded);
+    assert!(matches!(loaded.load(&v1_path), Err(stisan_nn::LoadError::Format(_))));
 
-    // Resume treats it as weights-only: parameters restored, but with no
-    // trainer state the schedule starts over at epoch 0.
+    // Resume skips (and quarantines) the v1 file, then restores the
+    // weights-only one: parameters restored, but with no trainer state the
+    // schedule starts over at epoch 0.
     let cc = CheckpointConfig { dir: dir.clone(), every: 0, keep: 2, resume: true };
     let mut resumed = StiSan::new(&p, cfg(0));
     let s = resumed.fit_with_checkpoints(&p, Some(&cc)).unwrap();
-    assert_eq!(s.start_epoch, 0, "v1 files carry no epoch count");
-    assert!(s.resumed_from.is_some());
+    assert_eq!(s.start_epoch, 0, "weights-only files carry no epoch count");
+    assert_eq!(s.resumed_from.as_deref(), Some(path.as_path()), "must resume from the v2 file");
+    assert!(!v1_path.exists(), "the v1 file must be quarantined");
     assert_same_weights(&trained, &resumed);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -115,8 +115,8 @@ pub struct Resumed {
     pub epoch: u64,
     /// The file the weights came from.
     pub path: PathBuf,
-    /// Trainer state, when the checkpoint carries it (v2 training
-    /// checkpoints do; v1 / weights-only files yield `None`).
+    /// Trainer state, when the checkpoint carries it (training checkpoints
+    /// do; weights-only files yield `None`).
     pub trainer: Option<TrainState>,
 }
 

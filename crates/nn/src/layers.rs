@@ -96,11 +96,6 @@ impl Embedding {
             }
         }
     }
-
-    /// Direct (read-only) access to the table rows outside a session.
-    pub fn table_id(&self) -> ParamId {
-        self.table
-    }
 }
 
 /// Learned layer normalization over the last dimension (paper Eq 9).

@@ -4,11 +4,7 @@
 //! Format (little-endian, versioned):
 //!
 //! ```text
-//! v1 (legacy, weights only — still loadable):
-//!   magic "STSN" | u32 version=1 | u32 param count |
-//!     per param: u32 name len | name bytes | u32 ndim | u64 dims... | f32 data...
-//!
-//! v2 (current — weights + optional trainer state + integrity footer):
+//! v2 (weights + optional trainer state + integrity footer):
 //!   magic "STSN" | u32 version=2 | u32 param count |
 //!     per param: u32 name len | name bytes | u32 ndim | u64 dims... | f32 data...
 //!   u8 trainer flag |
@@ -19,11 +15,10 @@
 //!   u32 crc32 (IEEE, over every preceding byte)
 //! ```
 //!
-//! v2 loads validate the CRC and fully parse the payload **before** touching
+//! Loads validate the CRC and fully parse the payload **before** touching
 //! the receiving store, so a corrupt or truncated file can never leave a
-//! model half-loaded. v1 files load weights-only (no trainer state comes
-//! back); they predate the CRC footer so they are only guarded by the
-//! structural checks.
+//! model half-loaded. Any other version — including the CRC-less v1
+//! layout — is rejected as a format error.
 
 use std::io::{self, Read};
 use std::path::Path;
@@ -37,7 +32,6 @@ use crate::param::ParamStore;
 const MAGIC: &[u8; 4] = b"STSN";
 /// Current checkpoint format version (see the module docs for the layout).
 pub const VERSION: u32 = 2;
-const VERSION_V1: u32 = 1;
 
 /// Everything beyond the weights needed to resume training bit-exactly:
 /// optimizer moments, the epoch counter, and the seed that reconstructs the
@@ -101,7 +95,7 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE) of `bytes` — the v2 integrity footer.
+/// CRC32 (IEEE) of `bytes` — the integrity footer.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -206,17 +200,7 @@ impl ParamStore {
         buf
     }
 
-    /// Serializes in the legacy v1 layout (weights only, no CRC). Kept so
-    /// compatibility with pre-existing checkpoints stays covered by tests;
-    /// new code should write v2 via [`ParamStore::to_bytes`].
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut buf = MAGIC.to_vec();
-        buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-        self.put_params(&mut buf);
-        buf
-    }
-
-    /// Restores parameter *values* (and, for v2 checkpoints that carry it,
+    /// Restores parameter *values* (and, for checkpoints that carry it,
     /// trainer state) from [`ParamStore::to_bytes_with`] output into this
     /// store. The store must already contain the same parameters (same
     /// names, same shapes, same order) — i.e. build the model first, then
@@ -224,33 +208,31 @@ impl ParamStore {
     ///
     /// The payload is validated and fully parsed before the store is
     /// mutated: on any error the store is untouched. Returns the embedded
-    /// [`TrainState`] when present (`None` for v1 or weights-only files).
+    /// [`TrainState`] when present (`None` for weights-only files).
     pub fn load_bytes(&mut self, buf: &[u8]) -> Result<Option<TrainState>, LoadError> {
-        let mut cur = Reader(buf);
-        if cur.array::<4>("header")? != *MAGIC {
+        let mut head = Reader(buf);
+        if head.array::<4>("header")? != *MAGIC {
             return Err(LoadError::Format("missing STSN magic".into()));
         }
-        let version = cur.u32("header")?;
-        if version != VERSION_V1 && version != VERSION {
+        let version = head.u32("header")?;
+        if version != VERSION {
             return Err(LoadError::Format(format!("unsupported version {version}")));
         }
-        if version == VERSION {
-            // Integrity first: the CRC covers everything before the footer,
-            // so any torn write, truncation or bit flip is caught before we
-            // interpret a single field.
-            if buf.len() < 12 {
-                return Err(LoadError::Format("truncated before crc footer".into()));
-            }
-            let (body, footer) = buf.split_at(buf.len() - 4);
-            let stored = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-            let computed = crc32(body);
-            if stored != computed {
-                return Err(LoadError::Format(format!(
-                    "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
-                )));
-            }
-            cur = Reader(&body[8..]); // past magic+version, excluding the footer
+        // Integrity first: the CRC covers everything before the footer, so
+        // any torn write, truncation or bit flip is caught before we
+        // interpret a single field.
+        if buf.len() < 12 {
+            return Err(LoadError::Format("truncated before crc footer".into()));
         }
+        let (body, footer) = buf.split_at(buf.len() - 4);
+        let stored = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
+        let computed = crc32(body);
+        if stored != computed {
+            return Err(LoadError::Format(format!(
+                "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            )));
+        }
+        let mut cur = Reader(&body[8..]); // past magic+version, excluding the footer
 
         // Parse phase: build everything in scratch space, validating against
         // the store, without mutating it.
@@ -286,16 +268,10 @@ impl ParamStore {
             values.push(Array::from_vec(shape, data));
         }
 
-        let trainer = if version == VERSION {
-            match cur.u8("trainer flag")? {
-                0 => None,
-                1 => Some(self.parse_trainer(&mut cur)?),
-                other => {
-                    return Err(LoadError::Format(format!("bad trainer flag {other}")));
-                }
-            }
-        } else {
-            None
+        let trainer = match cur.u8("trainer flag")? {
+            0 => None,
+            1 => Some(self.parse_trainer(&mut cur)?),
+            other => return Err(LoadError::Format(format!("bad trainer flag {other}"))),
         };
 
         if !cur.0.is_empty() {
@@ -350,17 +326,9 @@ impl ParamStore {
         write_atomic(path.as_ref(), &self.to_bytes())
     }
 
-    /// [`ParamStore::save_file`] with trainer state included.
-    pub fn save_file_with(
-        &self,
-        path: impl AsRef<Path>,
-        trainer: Option<&TrainState>,
-    ) -> io::Result<()> {
-        write_atomic(path.as_ref(), &self.to_bytes_with(trainer))
-    }
-
-    /// Loads a checkpoint produced by [`ParamStore::save_file`] (or any v1
-    /// file). Returns the trainer state when the file carries one.
+    /// Loads a checkpoint written by [`ParamStore::save_file`] or
+    /// `CheckpointManager::save`. Returns the trainer state when the file
+    /// carries one.
     pub fn load_file(&mut self, path: impl AsRef<Path>) -> Result<Option<TrainState>, LoadError> {
         let mut f = std::fs::File::open(path)?;
         let mut buf = Vec::new();
@@ -433,16 +401,22 @@ mod tests {
         }
     }
 
+    /// The retired v1 layout (weights only, no trainer flag, no CRC footer)
+    /// is refused outright: every accepted file is CRC-checked.
     #[test]
-    fn v1_files_still_load_weights_only() {
+    fn crc_less_v1_layout_is_rejected() {
         let src = sample_store(1);
-        let bytes = src.to_bytes_v1();
+        let v2 = src.to_bytes();
+        let mut v1 = v2[..v2.len() - 5].to_vec(); // drop the trainer flag and crc
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
         let mut dst = sample_store(2);
-        let trainer = dst.load_bytes(&bytes).unwrap();
-        assert!(trainer.is_none(), "v1 cannot carry trainer state");
-        for id in src.ids() {
-            assert_eq!(src.value(id).data(), dst.value(id).data());
+        let before: Vec<Vec<f32>> = dst.ids().map(|id| dst.value(id).data().to_vec()).collect();
+        match dst.load_bytes(&v1) {
+            Err(LoadError::Format(msg)) => assert_eq!(msg, "unsupported version 1"),
+            other => panic!("v1 layout must be a format error, got {other:?}"),
         }
+        let after: Vec<Vec<f32>> = dst.ids().map(|id| dst.value(id).data().to_vec()).collect();
+        assert_eq!(before, after, "store mutated by a rejected v1 load");
     }
 
     #[test]
@@ -513,11 +487,16 @@ mod tests {
         let bytes = src.to_bytes();
         let mut dst = sample_store(2);
         let before: Vec<Vec<f32>> = dst.ids().map(|id| dst.value(id).data().to_vec()).collect();
-        // A v1 truncation used to leave the store half-written; the
-        // parse-then-commit load must not.
-        let v1 = src.to_bytes_v1();
-        assert!(dst.load_bytes(&v1[..v1.len() - 3]).is_err());
         assert!(dst.load_bytes(&bytes[..bytes.len() - 6]).is_err());
+        // A CRC-valid file whose *last* parameter has the wrong shape fails
+        // only after the earlier ones parsed; the parse-then-commit load
+        // must still leave the store untouched.
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut reshaped = ParamStore::new();
+        reshaped.register("a.w", Array::randn(vec![3, 4], 1.0, &mut rng));
+        reshaped.register("b.bias", Array::randn(vec![7], 1.0, &mut rng));
+        reshaped.register("scalar", Array::from_vec(vec![1], vec![2.5]));
+        assert!(matches!(dst.load_bytes(&reshaped.to_bytes()), Err(LoadError::Mismatch(_))));
         let after: Vec<Vec<f32>> = dst.ids().map(|id| dst.value(id).data().to_vec()).collect();
         assert_eq!(before, after);
     }

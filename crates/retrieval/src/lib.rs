@@ -10,9 +10,9 @@
 //!   global popularity prior, deduplicated with per-source provenance
 //!   counts ([`RetrievalStats`]).
 //! * [`QuantizedTable`] — stage two's memory side: the frozen candidate-
-//!   embedding table held at [`QuantLevel::F32`]/[`QuantLevel::F16`]/
-//!   [`QuantLevel::I8`], with gather-dequantize row access and a documented
-//!   max-abs-error bound.
+//!   embedding table held at [`QuantLevel::F32`] or [`QuantLevel::I8`],
+//!   with gather-dequantize row access and a documented max-abs-error
+//!   bound.
 //! * [`RetrievalState`] — the immutable pair of both, built once per model
 //!   epoch and shared (`Arc`) across serving replicas; rebuilt by the hot-
 //!   reload watcher when a new checkpoint publishes.

@@ -2,16 +2,12 @@
 //!
 //! The exact scorer gathers candidate rows from the model's frozen
 //! `[num_pois + 1, d]` f32 embedding table. At million-POI scale that table
-//! dominates replica memory, so serving can hold it in IEEE binary16 (half
-//! the bytes) or per-row affine int8 (~a quarter), dequantizing only the
-//! gathered candidate rows per request. Both codecs carry a documented
-//! max-abs-error bound (see [`stisan_tensor::quant`]) that the differential
-//! test-suite asserts.
+//! dominates replica memory, so serving can hold it in per-row affine int8
+//! (~a quarter of the bytes), dequantizing only the gathered candidate rows
+//! per request. The codec carries a documented max-abs-error bound (see
+//! [`stisan_tensor::quant`]) that the differential test-suite asserts.
 
-use stisan_tensor::quant::{
-    f16_bound, f16_encode_slice, gather_dequant_f16_into, gather_dequant_i8_into, i8_bound,
-    i8_encode_row, RowQuant,
-};
+use stisan_tensor::quant::{gather_dequant_i8_into, i8_bound, i8_encode_row, RowQuant};
 use stisan_tensor::Array;
 
 /// Precision of the serving-side candidate-embedding table.
@@ -20,8 +16,6 @@ pub enum QuantLevel {
     /// Exact f32 rows (4 bytes/weight) — bit-identical to the model table.
     #[default]
     F32,
-    /// IEEE binary16 (2 bytes/weight), max abs error `max(|v|·2⁻¹¹, 2⁻²⁵)`.
-    F16,
     /// Per-row affine int8 (1 byte/weight + 8 bytes/row), max abs error
     /// `scale/2` plus a dequant rounding term (see
     /// [`stisan_tensor::quant::i8_bound`]).
@@ -33,7 +27,6 @@ impl QuantLevel {
     pub fn label(self) -> &'static str {
         match self {
             QuantLevel::F32 => "f32",
-            QuantLevel::F16 => "f16",
             QuantLevel::I8 => "i8",
         }
     }
@@ -44,17 +37,6 @@ impl QuantLevel {
 pub enum QuantizedTable {
     /// The exact table (shares the model's Arc, no copy).
     F32(Array),
-    /// binary16 codes, row-major.
-    F16 {
-        /// `rows * d` binary16 codes.
-        codes: Vec<u16>,
-        /// Row count.
-        rows: usize,
-        /// Embedding width.
-        d: usize,
-        /// Max abs dequant error over the encoded table.
-        bound: f32,
-    },
     /// Per-row affine int8 codes.
     I8 {
         /// `rows * d` int8 codes.
@@ -72,7 +54,7 @@ pub enum QuantizedTable {
 
 impl QuantizedTable {
     /// Encodes `table` (`[rows, d]`, the model's frozen candidate table) at
-    /// `level`. `F32` keeps an Arc reference; the quantized levels copy.
+    /// `level`. `F32` keeps an Arc reference; `I8` copies.
     pub fn build(table: &Array, level: QuantLevel) -> QuantizedTable {
         let _span = stisan_obs::span("quantize_table");
         let shape = table.shape();
@@ -80,12 +62,6 @@ impl QuantizedTable {
         let (rows, d) = (shape[0], shape[1]);
         match level {
             QuantLevel::F32 => QuantizedTable::F32(table.clone()),
-            QuantLevel::F16 => {
-                let mut codes = Vec::new();
-                f16_encode_slice(table.data(), &mut codes);
-                let bound = table.data().iter().map(|&v| f16_bound(v)).fold(0.0f32, f32::max);
-                QuantizedTable::F16 { codes, rows, d, bound }
-            }
             QuantLevel::I8 => {
                 let mut codes = vec![0i8; rows * d];
                 let mut params = Vec::with_capacity(rows);
@@ -104,7 +80,6 @@ impl QuantizedTable {
     pub fn level(&self) -> QuantLevel {
         match self {
             QuantizedTable::F32(_) => QuantLevel::F32,
-            QuantizedTable::F16 { .. } => QuantLevel::F16,
             QuantizedTable::I8 { .. } => QuantLevel::I8,
         }
     }
@@ -113,7 +88,7 @@ impl QuantizedTable {
     pub fn rows(&self) -> usize {
         match self {
             QuantizedTable::F32(t) => t.shape()[0],
-            QuantizedTable::F16 { rows, .. } | QuantizedTable::I8 { rows, .. } => *rows,
+            QuantizedTable::I8 { rows, .. } => *rows,
         }
     }
 
@@ -121,7 +96,7 @@ impl QuantizedTable {
     pub fn dim(&self) -> usize {
         match self {
             QuantizedTable::F32(t) => t.shape()[1],
-            QuantizedTable::F16 { d, .. } | QuantizedTable::I8 { d, .. } => *d,
+            QuantizedTable::I8 { d, .. } => *d,
         }
     }
 
@@ -129,7 +104,6 @@ impl QuantizedTable {
     pub fn bytes(&self) -> usize {
         match self {
             QuantizedTable::F32(t) => std::mem::size_of_val(t.data()),
-            QuantizedTable::F16 { codes, .. } => std::mem::size_of_val(codes.as_slice()),
             QuantizedTable::I8 { codes, params, .. } => {
                 codes.len() + std::mem::size_of_val(params.as_slice())
             }
@@ -141,7 +115,7 @@ impl QuantizedTable {
     pub fn max_abs_error_bound(&self) -> f32 {
         match self {
             QuantizedTable::F32(_) => 0.0,
-            QuantizedTable::F16 { bound, .. } | QuantizedTable::I8 { bound, .. } => *bound,
+            QuantizedTable::I8 { bound, .. } => *bound,
         }
     }
 
@@ -156,9 +130,6 @@ impl QuantizedTable {
                     assert!(i < rows, "dequant_rows_into: row {i} out of {rows}");
                     orow.copy_from_slice(&t.data()[i * d..(i + 1) * d]);
                 }
-            }
-            QuantizedTable::F16 { codes, rows, d, .. } => {
-                gather_dequant_f16_into(codes, *rows, *d, indices, out);
             }
             QuantizedTable::I8 { codes, params, rows, d, .. } => {
                 gather_dequant_i8_into(codes, params, *rows, *d, indices, out);
@@ -187,10 +158,8 @@ mod tests {
     fn bytes_shrink_with_precision() {
         let t = toy_table(101, 64);
         let f32b = QuantizedTable::build(&t, QuantLevel::F32).bytes();
-        let f16b = QuantizedTable::build(&t, QuantLevel::F16).bytes();
         let i8b = QuantizedTable::build(&t, QuantLevel::I8).bytes();
         assert_eq!(f32b, 101 * 64 * 4);
-        assert_eq!(f16b, f32b / 2);
         assert!(
             (i8b as f64) <= 0.30 * f32b as f64,
             "i8 {} vs f32 {} exceeds 30%",
@@ -204,7 +173,7 @@ mod tests {
         let t = toy_table(40, 32);
         let indices: Vec<usize> = (0..40).collect();
         let mut out = vec![f32::NAN; 40 * 32];
-        for level in [QuantLevel::F32, QuantLevel::F16, QuantLevel::I8] {
+        for level in [QuantLevel::F32, QuantLevel::I8] {
             let q = QuantizedTable::build(&t, level);
             q.dequant_rows_into(&indices, &mut out);
             let bound = q.max_abs_error_bound();
@@ -220,14 +189,11 @@ mod tests {
 
     #[test]
     fn padding_row_stays_exactly_zero() {
-        // Row 0 of the candidate table is the padding embedding; both codecs
-        // must reproduce literal zeros (f16: exact; i8: constant row).
+        // Row 0 of the candidate table is the padding embedding; the i8
+        // codec must reproduce literal zeros (a constant row).
         let t = toy_table(10, 16);
         let mut out = vec![1.0f32; 16];
-        for level in [QuantLevel::F16, QuantLevel::I8] {
-            let q = QuantizedTable::build(&t, level);
-            q.dequant_rows_into(&[0], &mut out);
-            assert!(out.iter().all(|&v| v == 0.0), "{level:?} broke the zero row");
-        }
+        QuantizedTable::build(&t, QuantLevel::I8).dequant_rows_into(&[0], &mut out);
+        assert!(out.iter().all(|&v| v == 0.0), "i8 broke the zero row");
     }
 }

@@ -1,5 +1,5 @@
-//! The inference engine: frozen-forward scoring, geo pruning, two-stage
-//! retrieval, bounded top-K — one request at a time. Batches, parallelism and
+//! The inference engine: frozen-forward scoring, two-stage retrieval,
+//! bounded top-K — one request at a time. Batches, parallelism and
 //! supervision live in [`crate::ReplicatedEngine`].
 
 use std::sync::{Arc, Mutex};
@@ -17,19 +17,6 @@ use crate::topk::{top_k_into, TopKScratch};
 pub enum PruningPolicy {
     /// Score every POI in the catalogue.
     Full,
-    /// Score only POIs within `km` kilometres of the user's most recent
-    /// check-in (sequential POI recommendation is strongly distance-decayed
-    /// — see PAPER.md and the synthetic presets' `distance_decay_km`).
-    ///
-    /// Falls back to the full catalogue whenever the radius yields fewer
-    /// than `min_candidates` POIs, so sparse regions never starve the
-    /// recommender of candidates.
-    Radius {
-        /// Pruning radius around the last check-in, in kilometres.
-        km: f64,
-        /// Minimum pool size below which pruning is abandoned.
-        min_candidates: usize,
-    },
     /// Two-stage retrieval for million-POI catalogues (DESIGN.md §15):
     /// stage one generates ~`budget` candidates from a quadkey inverted
     /// index (the request's own revisits, concentric tile rings around the
@@ -58,11 +45,11 @@ pub struct ServeConfig {
     /// Candidate pruning policy.
     pub pruning: PruningPolicy,
     /// Precision of the candidate-embedding table under
-    /// [`PruningPolicy::TwoStage`] (ignored by the other policies):
-    /// `F32` scores exactly through the model's own table; `F16`/`I8`
-    /// gather-dequantize rows from a quantized copy into
+    /// [`PruningPolicy::TwoStage`] (ignored under [`PruningPolicy::Full`]):
+    /// `F32` scores exactly through the model's own table; `I8`
+    /// gather-dequantizes rows from a quantized copy into
     /// [`FrozenScorer::score_frozen_with_embeds`], trading a documented
-    /// max-abs embedding error for 2×/~3.6× less table memory.
+    /// max-abs embedding error for ~3.6× less table memory.
     pub quant: QuantLevel,
 }
 
@@ -143,13 +130,13 @@ pub struct Recommendation {
 }
 
 /// A loaded model ready to serve requests: frozen weights, no autodiff tape,
-/// optional geo pruning, arena-backed scoring.
+/// optional two-stage retrieval, arena-backed scoring.
 ///
 /// The model must implement [`FrozenScorer`], whose contract guarantees
 /// bit-identical scores to the tape-based evaluation path (see DESIGN.md §9
 /// and `tests/parity.rs`). Weights come from wherever the model got them —
 /// training in-process or a checkpoint restored with e.g. `StiSan::load`
-/// (the `stisan_nn::serialize` v1/v2 format); the engine only reads them.
+/// (the `stisan_nn::serialize` format); the engine only reads them.
 pub struct InferenceSession<'a, M: FrozenScorer + Sync> {
     model: &'a M,
     data: &'a Processed,
@@ -235,7 +222,7 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
     }
 
     /// Builds the candidate id list for one request into `out` (cleared
-    /// first): the full catalogue, or the geo-pruned subset around the
+    /// first): the full catalogue, or the two-stage candidates around the
     /// request's most recent check-in. Ids are sorted ascending so
     /// tie-breaking in [`top_k_into`] is independent of spatial-index
     /// iteration order. The [`PruningPolicy::Full`] path is allocation-free
@@ -257,23 +244,6 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
         out.clear();
         match self.cfg.pruning {
             PruningPolicy::Full => out.extend(1..=self.data.num_pois as u32),
-            PruningPolicy::Radius { km, min_candidates } => {
-                let last = inst.poi.last().copied().unwrap_or(0);
-                if last == 0 {
-                    // Degenerate: empty source sequence.
-                    out.extend(1..=self.data.num_pois as u32);
-                    return None;
-                }
-                let anchor = self.data.loc(last);
-                let hits = self.data.index.within_radius(anchor, km);
-                if hits.len() < min_candidates {
-                    out.extend(1..=self.data.num_pois as u32);
-                    return None;
-                }
-                // Index entry i is POI id i + 1.
-                out.extend(hits.into_iter().map(|(i, _)| (i + 1) as u32));
-                out.sort_unstable();
-            }
             PruningPolicy::TwoStage { budget, max_ring } => {
                 let last = inst
                     .poi
@@ -345,7 +315,7 @@ impl<'a, M: FrozenScorer + Sync> InferenceSession<'a, M> {
             stisan_obs::counter("retrieval.from_cells_total", st.from_cells as u64);
             stisan_obs::counter("retrieval.from_popularity_total", st.from_popularity as u64);
         }
-        // Quantized two-stage scoring gathers candidate rows from the f16/i8
+        // Quantized two-stage scoring gathers candidate rows from the i8
         // table and hands them to the model pre-dequantized; every other
         // combination scores exactly through the model's own table.
         let quantized = match &self.retrieval {
@@ -468,30 +438,5 @@ mod tests {
         for w in rec.items.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
-    }
-
-    #[test]
-    fn radius_policy_prunes_but_falls_back_when_sparse() {
-        let p = processed();
-        let pruned = InferenceSession::new(
-            &NearLast,
-            &p,
-            ServeConfig {
-                pruning: PruningPolicy::Radius { km: 50.0, min_candidates: 5 },
-                ..Default::default()
-            },
-        );
-        let rec = pruned.serve_one(&p.eval[0]);
-        assert!(rec.scored <= p.num_pois);
-        // An impossible radius must fall back to the full catalogue.
-        let strict = InferenceSession::new(
-            &NearLast,
-            &p,
-            ServeConfig {
-                pruning: PruningPolicy::Radius { km: 1e-9, min_candidates: 5 },
-                ..Default::default()
-            },
-        );
-        assert_eq!(strict.serve_one(&p.eval[0]).scored, p.num_pois);
     }
 }

@@ -8,14 +8,11 @@
 //!   (`stisan_tensor::Exec<NoTape>`). No autodiff nodes are allocated and
 //!   scores are *bit-identical* to the tape path (`tests/parity.rs` proves it for
 //!   STiSAN, SASRec, and TiSASRec, including a checkpoint round-trip).
-//! * **Geo pruning** — [`PruningPolicy::Radius`] restricts candidates to
-//!   POIs near the user's last check-in via the `stisan_geo` grid index,
-//!   falling back to the full catalogue when the radius is too sparse.
 //! * **Two-stage retrieval** — [`PruningPolicy::TwoStage`] generates
 //!   candidates from a `stisan_retrieval` quadkey inverted index (revisits +
 //!   tile rings + popularity prior) and scores them against a candidate-
 //!   embedding table held at [`ServeConfig::quant`] precision
-//!   (f32/f16/int8), the million-POI serving path of DESIGN.md §15.
+//!   (f32/int8), the million-POI serving path of DESIGN.md §15.
 //! * **One request, one way** — [`InferenceSession::serve_one`] (or
 //!   [`InferenceSession::serve_one_into`] with caller-held [`ServeScratch`])
 //!   is the only scoring path: candidates → arena-backed frozen forward →

@@ -72,13 +72,16 @@ impl TableModel {
         TableModel { table: Array::from_vec(vec![rows, d], data) }
     }
 
-    /// A table of uniformly huge values: finite scores (the canary passes)
-    /// but far past f16's saturation point, so requantization error blows
-    /// through the documented bound and the watcher must refuse to attach it.
-    fn saturating(num_pois: usize, d: usize) -> Self {
-        let rows = num_pois + 1;
-        let data = vec![1.0e6f32; rows * d];
-        TableModel { table: Array::from_vec(vec![rows, d], data) }
+    /// [`TableModel::lossless_grid`] whose last row spans ±3e38: every
+    /// score stays finite (the canary passes), but that row's i8 grid step
+    /// `(max - min) / 255` overflows to infinity, so the documented bound is
+    /// no longer finite and the watcher must refuse to attach the table.
+    fn overflowing(num_pois: usize, d: usize) -> Self {
+        let mut m = Self::lossless_grid(num_pois, d);
+        let last = &mut m.table.data_mut()[num_pois * d..];
+        last.fill(0.0);
+        (last[0], last[1]) = (-3.0e38, 3.0e38);
+        m
     }
 
     fn save(&self, mgr: &CheckpointManager, epoch: u64) -> std::io::Result<std::path::PathBuf> {
@@ -230,24 +233,6 @@ fn i8_top_k_tie_break_is_identical_to_exact() {
     assert!(saw_tie, "test table produced no ties — tie-break was never exercised");
 }
 
-/// f16 on the same lossless-integer table (values ≤ 255 are exact in
-/// binary16) is held to the same identity.
-#[test]
-fn f16_top_k_matches_exact_on_representable_table() {
-    let p = processed();
-    let m = TableModel::lossless_grid(p.num_pois, 8);
-    let f32_sess = InferenceSession::new(&m, &p, two_stage_cfg(QuantLevel::F32, (p.num_pois / 3).max(8)));
-    let f16_sess = InferenceSession::new(&m, &p, two_stage_cfg(QuantLevel::F16, (p.num_pois / 3).max(8)));
-    for inst in &p.eval {
-        let a = f32_sess.serve_one(inst);
-        let b = f16_sess.serve_one(inst);
-        assert_eq!(
-            a.items.iter().map(|&(id, s)| (id, s.to_bits())).collect::<Vec<_>>(),
-            b.items.iter().map(|&(id, s)| (id, s.to_bits())).collect::<Vec<_>>(),
-        );
-    }
-}
-
 /// A model with no exportable candidate table under `TwoStage` serves the
 /// full catalogue (graceful degradation, not an error or an empty answer).
 #[test]
@@ -264,7 +249,7 @@ fn two_stage_without_table_falls_back_to_full_catalogue() {
 
 /// Hot reload requantizes on publish: a checkpoint with a well-behaved table
 /// publishes *with* an attached retrieval state; a follow-up checkpoint
-/// whose table saturates f16 (dequant error far beyond the bound) still
+/// whose table overflows the i8 grid (an infinite error bound) still
 /// publishes — weights are valid, the canary passes — but with the
 /// retrieval state refused, so replicas degrade to exact full-scan scoring
 /// rather than serving garbage embeddings.
@@ -284,25 +269,25 @@ fn reload_requantizes_on_publish_and_rejects_bad_tables() {
         &p,
         move |path| TableModel::load(path, rows, d),
     )
-    .with_retrieval(QuantLevel::F16);
+    .with_retrieval(QuantLevel::I8);
 
-    // Epoch 1: a clean table → published with retrieval attached at f16.
+    // Epoch 1: a clean table → published with retrieval attached at i8.
     TableModel::lossless_grid(p.num_pois, d).save(w.manager(), 1).unwrap();
     let report = w.poll();
     assert_eq!(report.published, Some(1));
     let epoch = shared.current();
     let state = epoch.retrieval.as_ref().expect("clean table must attach retrieval");
-    assert_eq!(state.table.level(), QuantLevel::F16);
+    assert_eq!(state.table.level(), QuantLevel::I8);
     assert_eq!(state.table.rows(), rows);
 
-    // Epoch 2: saturating table → published, but retrieval refused.
-    TableModel::saturating(p.num_pois, d).save(w.manager(), 2).unwrap();
+    // Epoch 2: overflowing table → published, but retrieval refused.
+    TableModel::overflowing(p.num_pois, d).save(w.manager(), 2).unwrap();
     let report = w.poll();
     assert_eq!(report.published, Some(2), "weights themselves are valid and must publish");
     let epoch = shared.current();
     assert!(
         epoch.retrieval.is_none(),
-        "saturating table must not attach a retrieval state"
+        "overflowing table must not attach a retrieval state"
     );
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -2,28 +2,15 @@
 //!
 //! Serving a million-POI catalogue cannot afford 4 bytes per embedding
 //! element: the candidate table dominates replica memory. This module
-//! provides the two compressed encodings the retrieval subsystem offers —
-//! IEEE 754 binary16 (`f16`, 2 bytes/element) and per-row affine `i8`
-//! (1 byte/element + 8 bytes/row of scale/zero-point) — as pure slice
-//! codecs plus fused *gather-dequantize* kernels that expand only the rows a
-//! request actually scores, directly into an arena buffer.
+//! provides the compressed encoding the retrieval subsystem offers —
+//! per-row affine `i8` (1 byte/element + 8 bytes/row of scale/zero-point) —
+//! as a pure slice codec plus a fused *gather-dequantize* kernel that
+//! expands only the rows a request actually scores, directly into an arena
+//! buffer.
 //!
-//! # Error bounds (asserted by `crates/tensor/tests/quant_diff.rs`)
+//! # Error bound (asserted by `crates/tensor/tests/quant_diff.rs`)
 //!
-//! **f16.** Encoding uses round-to-nearest-even; finite values above the
-//! largest finite half (65504) saturate to ±65504 instead of overflowing to
-//! infinity (a serving table must stay finite). For `|v| <= 65504` the
-//! round-trip error is the classic half-precision bound
-//!
-//! ```text
-//! |dec(enc(v)) - v| <= max(|v| * 2^-11, 2^-25)
-//! ```
-//!
-//! — relative `2^-11` (one ulp of a 10-bit mantissa, halved by RNE) in the
-//! normal range, absolute `2^-25` (half the subnormal step) below it. f32
-//! inputs smaller than every f16 subnormal round to a zero of the same sign.
-//!
-//! **i8.** Each row is encoded against its own affine grid: with
+//! Each row is encoded against its own affine grid: with
 //! `scale = (max - min) / 255` and `zero = min`,
 //!
 //! ```text
@@ -45,104 +32,15 @@
 //!
 //! # Kernel structure
 //!
-//! The gather-dequantize kernels mirror the blocked-loop shape of
+//! The gather-dequantize kernel mirrors the blocked-loop shape of
 //! [`crate::kernels`]: each output row is produced one [`QD_JB`]-wide column
 //! panel at a time through a fixed-size stack buffer, so the convert loop
 //! autovectorizes and every output element is written exactly once (set
 //! semantics — safe over recycled arena storage without clearing).
 
-/// Column-panel width of the blocked gather-dequantize kernels, matching
+/// Column-panel width of the blocked gather-dequantize kernel, matching
 /// [`crate::kernels::MM_JB`]'s register-block sizing (256 bytes of f32).
 pub const QD_JB: usize = 64;
-
-// ----------------------------------------------------------------------
-// f16 codec
-// ----------------------------------------------------------------------
-
-/// Largest finite binary16 value (`0x7bff`).
-pub const F16_MAX: f32 = 65504.0;
-
-/// Encodes one f32 as IEEE 754 binary16 with round-to-nearest-even.
-///
-/// Finite overflow saturates to ±[`F16_MAX`] (never to infinity); NaN maps
-/// to a quiet NaN; infinities pass through.
-pub fn f16_encode(v: f32) -> u16 {
-    let bits = v.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Infinity or NaN: preserve the class (NaN keeps a non-zero payload).
-        return if man == 0 { sign | 0x7c00 } else { sign | 0x7e00 };
-    }
-    let e = exp - 127 + 15; // unbiased, re-biased for f16
-    if e >= 31 {
-        return sign | 0x7bff; // finite overflow: saturate to max finite
-    }
-    if e <= 0 {
-        // Subnormal range of f16 (or underflow to signed zero).
-        if e < -10 {
-            return sign; // below half the smallest subnormal: rounds to 0
-        }
-        // Mantissa with the implicit leading 1, shifted into subnormal
-        // position; round to nearest even on the bits shifted out.
-        let m = man | 0x0080_0000;
-        let shift = (14 - e) as u32; // in 15..=24
-        let kept = m >> shift;
-        let rem = m & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let rounded = kept + u32::from(rem > half || (rem == half && kept & 1 == 1));
-        // A carry out of the subnormal mantissa lands exactly on the
-        // smallest normal (0x0400) — still a valid encoding.
-        return sign | rounded as u16;
-    }
-    // Normal range: keep 10 mantissa bits, RNE on the 13 dropped bits.
-    let kept = man >> 13;
-    let rem = man & 0x1fff;
-    let rounded = kept + u32::from(rem > 0x1000 || (rem == 0x1000 && kept & 1 == 1));
-    let h = ((e as u32) << 10) + rounded; // mantissa carry bumps the exponent
-    if h >= 0x7c00 {
-        return sign | 0x7bff; // rounded past max finite: saturate
-    }
-    sign | h as u16
-}
-
-/// Decodes one IEEE 754 binary16 value to f32 (exact — every f16 value is
-/// representable in f32).
-pub fn f16_decode(h: u16) -> f32 {
-    let sign = ((h as u32) & 0x8000) << 16;
-    let exp = ((h >> 10) & 0x1f) as u32;
-    let man = (h & 0x03ff) as u32;
-    let bits = if exp == 0 {
-        if man == 0 {
-            sign // ±0
-        } else {
-            // Subnormal: renormalize into f32's ample exponent range.
-            let lead = 31 - man.leading_zeros(); // position of the top set bit (0..=9)
-            let e = 127 - 15 - (9 - lead); // f32 exponent of that bit
-            let m = (man << (23 - lead)) & 0x007f_ffff;
-            sign | (e << 23) | m
-        }
-    } else if exp == 31 {
-        sign | 0x7f80_0000 | (man << 13) // inf / NaN
-    } else {
-        sign | ((exp + 112) << 23) | (man << 13)
-    };
-    f32::from_bits(bits)
-}
-
-/// Round-trip error bound of the f16 codec for a finite `|v| <= F16_MAX`
-/// (see the module docs for the derivation).
-#[inline]
-pub fn f16_bound(v: f32) -> f32 {
-    (v.abs() * (1.0 / 2048.0)).max(1.0 / 33_554_432.0)
-}
-
-/// Encodes a whole slice (for table construction; not a hot path).
-pub fn f16_encode_slice(src: &[f32], out: &mut Vec<u16>) {
-    out.clear();
-    out.extend(src.iter().map(|&v| f16_encode(v)));
-}
 
 // ----------------------------------------------------------------------
 // i8 per-row affine codec
@@ -210,39 +108,6 @@ pub fn i8_bound(p: RowQuant) -> f32 {
 // Gather-dequantize kernels
 // ----------------------------------------------------------------------
 
-/// Expands rows `indices` of an f16 table `[rows, d]` into `out`
-/// (`indices.len() * d` f32s, set semantics).
-///
-/// # Panics
-/// Panics when an index is out of range (same contract as
-/// [`crate::kernels::gather_rows_into`]).
-pub fn gather_dequant_f16_into(
-    table: &[u16],
-    rows: usize,
-    d: usize,
-    indices: &[usize],
-    out: &mut [f32],
-) {
-    debug_assert_eq!(table.len(), rows * d);
-    debug_assert_eq!(out.len(), indices.len() * d);
-    for (&i, orow) in indices.iter().zip(out.chunks_exact_mut(d)) {
-        assert!(i < rows, "gather_dequant_f16: index {i} out of {rows} rows");
-        let srow = &table[i * d..(i + 1) * d];
-        // Blocked convert: fixed-width panels through a stack buffer, ragged
-        // tail over the same loop body (the MM_JB pattern of kernels.rs).
-        let mut jb = 0usize;
-        while jb < d {
-            let w = QD_JB.min(d - jb);
-            let mut panel = [0.0f32; QD_JB];
-            for (p, &h) in panel[..w].iter_mut().zip(&srow[jb..jb + w]) {
-                *p = f16_decode(h);
-            }
-            orow[jb..jb + w].copy_from_slice(&panel[..w]);
-            jb += QD_JB;
-        }
-    }
-}
-
 /// Expands rows `indices` of an i8 table `[rows, d]` (with per-row
 /// parameters) into `out` (`indices.len() * d` f32s, set semantics).
 ///
@@ -281,53 +146,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f16_known_values() {
-        for (v, h) in [
-            (0.0f32, 0x0000u16),
-            (-0.0, 0x8000),
-            (1.0, 0x3c00),
-            (-2.0, 0xc000),
-            (0.5, 0x3800),
-            (65504.0, 0x7bff),
-            (6.1035156e-5, 0x0400),  // smallest normal
-            (5.9604645e-8, 0x0001),  // smallest subnormal
-        ] {
-            assert_eq!(f16_encode(v), h, "encode {v}");
-            assert_eq!(f16_decode(h).to_bits(), v.to_bits(), "decode {h:#x}");
-        }
-    }
-
-    #[test]
-    fn f16_saturates_instead_of_overflowing() {
-        assert_eq!(f16_encode(1e6), 0x7bff);
-        assert_eq!(f16_encode(-1e6), 0xfbff);
-        assert_eq!(f16_encode(65520.0), 0x7bff); // would RNE to inf; saturated
-        assert_eq!(f16_decode(0x7bff), 65504.0);
-        assert!(f16_decode(f16_encode(f32::NAN)).is_nan());
-        assert_eq!(f16_decode(f16_encode(f32::INFINITY)), f32::INFINITY);
-    }
-
-    #[test]
-    fn f16_roundtrip_within_bound_on_a_sweep() {
-        let mut v = 1e-30f32;
-        while v < 6e4 {
-            for s in [v, -v] {
-                let rt = f16_decode(f16_encode(s));
-                let err = (rt - s).abs();
-                assert!(err <= f16_bound(s), "{s}: rt {rt}, err {err} > {}", f16_bound(s));
-            }
-            v *= 1.37;
-        }
-    }
-
-    #[test]
-    fn f16_signed_zero_and_tiny_underflow() {
-        assert_eq!(f16_decode(f16_encode(-1e-30)).to_bits(), (-0.0f32).to_bits());
-        assert_eq!(f16_decode(f16_encode(1e-30)).to_bits(), 0.0f32.to_bits());
-        assert_eq!(f16_decode(f16_encode(f32::MIN_POSITIVE / 2.0)).to_bits(), 0.0f32.to_bits());
-    }
-
-    #[test]
     fn i8_roundtrip_within_bound() {
         let row = [-3.5f32, -1.0, 0.0, 0.25, 7.75, 100.0];
         let mut q = [0i8; 6];
@@ -353,27 +171,21 @@ mod tests {
     }
 
     #[test]
-    fn gather_kernels_match_scalar_codecs_across_panel_widths() {
+    fn gather_kernel_matches_scalar_codec_across_panel_widths() {
         // Widths straddling QD_JB exercise full panels, ragged tails, both.
         for d in [1usize, 7, QD_JB - 1, QD_JB, QD_JB + 5, 2 * QD_JB + 3] {
             let rows = 4;
             let src: Vec<f32> =
                 (0..rows * d).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.37).collect();
-            let mut h = Vec::new();
-            f16_encode_slice(&src, &mut h);
             let mut qi = vec![0i8; rows * d];
             let params: Vec<RowQuant> = (0..rows)
                 .map(|r| i8_encode_row(&src[r * d..(r + 1) * d], &mut qi[r * d..(r + 1) * d]))
                 .collect();
             let idx = [3usize, 0, 2];
-            let mut out_h = vec![f32::NAN; idx.len() * d];
-            gather_dequant_f16_into(&h, rows, d, &idx, &mut out_h);
             let mut out_q = vec![f32::NAN; idx.len() * d];
             gather_dequant_i8_into(&qi, &params, rows, d, &idx, &mut out_q);
             for (k, &i) in idx.iter().enumerate() {
                 for j in 0..d {
-                    let want_h = f16_decode(h[i * d + j]);
-                    assert_eq!(out_h[k * d + j].to_bits(), want_h.to_bits());
                     let want_q = i8_decode(qi[i * d + j], params[i]);
                     assert_eq!(out_q[k * d + j].to_bits(), want_q.to_bits());
                 }

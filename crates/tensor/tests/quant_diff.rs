@@ -1,36 +1,13 @@
-//! Differential property suite for the quantized table codecs
-//! (`stisan_tensor::quant`): the fused gather-dequantize kernels must agree
-//! bit-for-bit with the scalar codecs, and every round trip must stay inside
-//! the error bounds the module documents (`f16_bound` / `i8_bound`) — on
-//! ordinary values, signed zeros, subnormals, and rows with extreme outliers.
+//! Differential property suite for the quantized table codec
+//! (`stisan_tensor::quant`): the fused gather-dequantize kernel must agree
+//! bit-for-bit with the scalar codec, and every round trip must stay inside
+//! the error bound the module documents (`i8_bound`) — on ordinary values,
+//! signed zeros, subnormals, and rows with extreme outliers.
 
 use proptest::prelude::*;
 use stisan_tensor::quant::{
-    f16_bound, f16_decode, f16_encode, f16_encode_slice, gather_dequant_f16_into,
-    gather_dequant_i8_into, i8_bound, i8_decode, i8_encode_row, RowQuant, F16_MAX, QD_JB,
+    gather_dequant_i8_into, i8_bound, i8_decode, i8_encode_row, RowQuant, QD_JB,
 };
-
-/// A finite f32 strategy that actually hits the nasty regions: signed zeros,
-/// f16 subnormals, f32 subnormals, the saturation edge, and plain values.
-fn edgy_f32() -> impl Strategy<Value = f32> {
-    prop_oneof![
-        3 => (-100.0f32..100.0),
-        1 => (-1e6f32..1e6),
-        1 => prop_oneof![
-            Just(0.0f32),
-            Just(-0.0f32),
-            Just(f32::MIN_POSITIVE),        // smallest f32 normal
-            Just(-f32::MIN_POSITIVE),
-            Just(1e-41f32),                  // f32 subnormal
-            Just(-1e-41f32),
-            Just(6.0e-5f32),                 // near the f16 normal/subnormal edge
-            Just(5.96e-8f32),                // near the smallest f16 subnormal
-            Just(F16_MAX),
-            Just(-F16_MAX),
-            Just(65505.0f32),                // just past max finite f16
-        ],
-    ]
-}
 
 /// Plants `spike` into `row` when requested: a mostly-small row with one
 /// huge element is the worst case for the per-row affine i8 grid.
@@ -44,51 +21,6 @@ fn with_outlier(mut row: Vec<f32>, use_spike: bool, pos: usize, spike: f32) -> V
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// f16 round trip stays within the documented bound for every finite
-    /// input at or below the saturation point; saturating inputs come back
-    /// as ±F16_MAX.
-    #[test]
-    fn f16_roundtrip_within_bound(v in edgy_f32()) {
-        let rt = f16_decode(f16_encode(v));
-        if v.abs() <= F16_MAX {
-            let err = (rt - v).abs();
-            prop_assert!(
-                err <= f16_bound(v),
-                "v={v:e}: roundtrip {rt:e}, err {err:e} > bound {:e}",
-                f16_bound(v)
-            );
-        } else {
-            prop_assert_eq!(rt.abs(), F16_MAX);
-            prop_assert_eq!(rt.is_sign_negative(), v.is_sign_negative());
-        }
-    }
-
-    /// f16 preserves the sign through underflow: anything too small for a
-    /// half subnormal becomes a zero *of the same sign*, and signed zeros
-    /// round-trip bit-exactly.
-    #[test]
-    fn f16_underflow_keeps_sign(mag in 0.0f32..1e-26) {
-        for v in [mag, -mag, 0.0, -0.0] {
-            let rt = f16_decode(f16_encode(v));
-            if rt == 0.0 {
-                prop_assert_eq!(
-                    rt.is_sign_negative(),
-                    v.is_sign_negative(),
-                    "sign lost on {v:e}"
-                );
-            }
-        }
-    }
-
-    /// f16 decode is monotone over encode's output ordering for same-sign
-    /// finite values (quantization never reorders candidates' magnitudes —
-    /// the property top-K scoring leans on).
-    #[test]
-    fn f16_encode_is_monotone(a in 0.0f32..65504.0, b in 0.0f32..65504.0) {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(f16_decode(f16_encode(lo)) <= f16_decode(f16_encode(hi)));
-    }
 
     /// i8 round trip stays within the documented per-row bound, including
     /// rows with a single large outlier (coarse grids).
@@ -132,32 +64,9 @@ proptest! {
         prop_assert_eq!(p.zero, row[imin], "grid origin is the row minimum");
     }
 
-    /// The fused f16 gather-dequantize kernel is bit-identical to the scalar
-    /// decode, across panel-width boundaries and arbitrary (repeating)
+    /// The fused i8 gather-dequantize kernel is bit-identical to the scalar
+    /// `i8_decode`, across panel-width boundaries and arbitrary (repeating)
     /// gather orders, over recycled (NaN-poisoned) output storage.
-    #[test]
-    fn gather_f16_matches_scalar_decode(
-        rows in 1usize..6,
-        d in prop_oneof![1usize..8, (QD_JB - 2)..(QD_JB + 3), Just(2 * QD_JB + 1)],
-        seed in 0u64..1000,
-    ) {
-        let src: Vec<f32> = (0..rows * d)
-            .map(|i| (((i as u64 * 2654435761 + seed) % 2001) as f32 - 1000.0) * 0.013)
-            .collect();
-        let mut table = Vec::new();
-        f16_encode_slice(&src, &mut table);
-        let indices: Vec<usize> = (0..rows + 2).map(|k| (k * 7 + seed as usize) % rows).collect();
-        let mut out = vec![f32::NAN; indices.len() * d];
-        gather_dequant_f16_into(&table, rows, d, &indices, &mut out);
-        for (k, &i) in indices.iter().enumerate() {
-            for j in 0..d {
-                let want = f16_decode(table[i * d + j]);
-                prop_assert_eq!(out[k * d + j].to_bits(), want.to_bits());
-            }
-        }
-    }
-
-    /// Same differential for the i8 kernel against the scalar `i8_decode`.
     #[test]
     fn gather_i8_matches_scalar_decode(
         rows in 1usize..6,
@@ -180,23 +89,6 @@ proptest! {
                 prop_assert_eq!(out[k * d + j].to_bits(), want.to_bits());
             }
         }
-    }
-}
-
-/// Deterministic spot check no sampler would keep: every f16 bit pattern
-/// decodes/encodes consistently (exhaustive over the 16-bit space — the
-/// strongest differential available for the codec).
-#[test]
-fn f16_exhaustive_decode_encode_fixpoint() {
-    for h in 0u16..=u16::MAX {
-        let v = f16_decode(h);
-        if v.is_nan() {
-            assert!(f16_decode(f16_encode(v)).is_nan());
-            continue;
-        }
-        // Every non-NaN f16 value is exactly representable in f32, so
-        // encode(decode(h)) must reproduce h exactly.
-        assert_eq!(f16_encode(v), h, "fixpoint broken at {h:#06x} (value {v:e})");
     }
 }
 

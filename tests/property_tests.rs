@@ -1,21 +1,13 @@
 //! Property-based tests (proptest) on the workspace's core invariants:
 //! tensor broadcasting vs a naive reference, geometry axioms, TAPE position
 //! monotonicity, relation-matrix bounds, metric ranges, and the serving
-//! engine's top-K / geo-pruning guarantees.
+//! engine's top-K guarantees.
 
 use proptest::prelude::*;
-use stisan::data::{
-    generate, preprocess, relation_matrix, DatasetPreset, EvalInstance, GenConfig, PrepConfig,
-    Processed, RelationConfig,
-};
-use stisan::eval::{FrozenScorer, Recommender};
+use stisan::data::{relation_matrix, RelationConfig};
 use stisan::geo::{haversine_km, GeoPoint};
 use stisan::nn::{sinusoidal_encoding, tape_positions};
-use stisan::obs::TraceCtx;
-use stisan::serve::{
-    top_k, EngineBackend, PruningPolicy, ReplicatedEngine, ServeConfig, SharedModel,
-    SupervisorConfig,
-};
+use stisan::serve::top_k;
 use stisan::tensor::{broadcast_shapes, Array};
 
 /// Reference top-K: full sort by `(score desc, index asc)`, truncated.
@@ -24,47 +16,6 @@ fn top_k_by_full_sort(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
     all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     all.truncate(k);
     all
-}
-
-/// Deterministic, training-free scorer: preference decays with distance from
-/// the request's most recent check-in — the same spatial prior the synthetic
-/// presets are generated with (`distance_decay_km`).
-struct NearLast;
-
-impl Recommender for NearLast {
-    fn name(&self) -> String {
-        "near-last".into()
-    }
-    fn score(&self, data: &Processed, inst: &EvalInstance, c: &[u32]) -> Vec<f32> {
-        let last = inst.poi.last().copied().unwrap_or(1).max(1);
-        let anchor = data.loc(last);
-        c.iter().map(|&p| -(data.loc(p).distance_km(&anchor) as f32)).collect()
-    }
-}
-
-impl FrozenScorer for NearLast {
-    fn score_frozen(&self, data: &Processed, inst: &EvalInstance, c: &[u32]) -> Vec<f32> {
-        self.score(data, inst, c)
-    }
-}
-
-/// Fraction of eval instances whose held-out target lands in the top-20
-/// the engine serves under `cfg`.
-fn recall_at_20(cfg: ServeConfig, data: &Processed) -> f64 {
-    let engine =
-        ReplicatedEngine::new(SharedModel::new(NearLast, 0), data, cfg, SupervisorConfig::default());
-    let mut traces: Vec<TraceCtx> = (0..data.eval.len() as u64).map(TraceCtx::new).collect();
-    let outs = engine.serve_outcomes(&data.eval, 0, &mut traces);
-    let hits = data
-        .eval
-        .iter()
-        .zip(&outs)
-        .filter(|(inst, out)| {
-            let served = out.as_ref().expect("a healthy pool answers every request");
-            served.rec.items.iter().any(|&(p, _)| p == inst.target)
-        })
-        .count();
-    hits as f64 / data.eval.len().max(1) as f64
 }
 
 proptest! {
@@ -212,52 +163,5 @@ proptest! {
         for w in got.windows(2) {
             prop_assert!(w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0));
         }
-    }
-}
-
-proptest! {
-    // Each case builds a synthetic dataset, so keep the case count small.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Geo pruning never loses meaningful recall: with a distance-consistent
-    /// scorer, Recall@20 on the radius-pruned candidate pool stays within ε
-    /// of unpruned Recall@20 on a Gowalla-preset synthetic dataset.
-    ///
-    /// (Whenever ≥ 20 POIs lie within the radius, the 20 closest overall are
-    /// all inside it, so the pruned and unpruned top-20 coincide exactly;
-    /// with fewer the engine falls back to the full catalogue. ε only
-    /// absorbs exact-boundary distance ties.)
-    #[test]
-    fn geo_pruned_recall_within_epsilon_of_unpruned(
-        seed in 0u64..1000,
-        radius_km in 20.0f64..120.0,
-    ) {
-        let cfg = GenConfig {
-            users: 25,
-            pois: 180,
-            mean_seq_len: 28.0,
-            ..DatasetPreset::Gowalla.config(0.01)
-        };
-        let d = generate(&cfg, seed);
-        let p = preprocess(
-            &d,
-            &PrepConfig { max_len: 10, min_user_checkins: 15, min_poi_interactions: 2 },
-        );
-        if p.eval.is_empty() {
-            return Ok(()); // degenerate filter outcome; nothing to measure
-        }
-        let r_full = recall_at_20(ServeConfig { top_k: 20, ..Default::default() }, &p);
-        let r_pruned = recall_at_20(
-            ServeConfig {
-                top_k: 20,
-                pruning: PruningPolicy::Radius { km: radius_km, min_candidates: 20 },
-                ..Default::default()
-            },
-            &p,
-        );
-        prop_assert!(
-            r_pruned >= r_full - 0.05,
-            "pruning lost recall: {r_pruned} vs {r_full} (radius {radius_km} km)"
-        );
     }
 }
