@@ -190,3 +190,42 @@ fn docs_cite_only_enum_variants_that_exist() {
     }
     assert!(stale.is_empty(), "docs cite enum variants that no longer exist: {stale:#?}");
 }
+
+/// Every exhibit `repro all` writes (`Exhibit { name: … }` in
+/// `crates/bench/src/bin/repro.rs`) has its tracked `results/<name>.txt`,
+/// and that file opens with the exhibit's title — the literal text before
+/// any placeholder of the first `println!` in the exhibit's function — not
+/// with a line some other program wrote, such as a shell's stderr.
+#[test]
+fn exhibit_results_open_with_their_titles() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let src = std::fs::read_to_string(root.join("crates/bench/src/bin/repro.rs"))
+        .expect("repro.rs is readable");
+    let names: Vec<&str> = src
+        .split("Exhibit { name: \"")
+        .skip(1)
+        .map(|rest| rest.split('"').next().expect("split yields one piece"))
+        .collect();
+    assert!(names.len() >= 10, "found only {} exhibits in repro.rs", names.len());
+    let mut wrong = Vec::new();
+    for name in names {
+        let body = src
+            .split(&format!("\nfn {name}("))
+            .nth(1)
+            .unwrap_or_else(|| panic!("repro.rs has no fn {name}"));
+        let literal =
+            body.split("println!(\"").nth(1).unwrap_or_else(|| panic!("fn {name} prints nothing"));
+        let title = &literal[..literal.find(['{', '\\', '"']).unwrap_or(literal.len())];
+        assert!(title.contains(" — "), "fn {name}: first println! is not a title: {title:?}");
+        match std::fs::read_to_string(root.join(format!("results/{name}.txt"))) {
+            Err(e) => wrong.push(format!("results/{name}.txt: {e}")),
+            Ok(text) => {
+                let first = text.lines().next().unwrap_or("");
+                if !first.starts_with(title) {
+                    wrong.push(format!("results/{name}.txt opens with {first:?}, not {title:?}"));
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "exhibit outputs that do not open with their titles: {wrong:#?}");
+}

@@ -629,10 +629,11 @@ impl StiSan {
         };
         if self.cfg.use_taad {
             let c = sess.g.reshape(c, &[1, m, d]);
-            // Arena-backed; fully written, consumed (and recycled) by the
-            // decoder (`Exec::taad_scores`, fused on the serving tape).
-            let mut mask = sess.g.scratch_array(&[1, m, n]);
-            taad_eval_mask_into(m, n, batch.valid_from[0], mask.data_mut());
+            // One row every candidate reads. Arena-backed; fully written,
+            // consumed (and recycled) by the decoder (`Exec::taad_scores`,
+            // fused on the serving tape).
+            let mut mask = sess.g.scratch_array(&[1, 1, n]);
+            taad_eval_mask_into(batch.valid_from[0], mask.data_mut());
             sess.g.taad_scores(f, c, mask)
         } else {
             let h_last = sess.g.slice_axis1(f, n - 1);

@@ -377,23 +377,21 @@ pub fn taad_train_mask(b: usize, n: usize, l1: usize, valid_from: &[usize]) -> A
     Array::from_vec(vec![b, n * l1, n], m)
 }
 
-/// TAAD mask for evaluation: every candidate may attend all real positions.
-/// Shape `[1, m, n]`.
-pub fn taad_eval_mask(m: usize, n: usize, valid_from: usize) -> Array {
-    let mut out = vec![0.0f32; m * n];
-    taad_eval_mask_into(m, n, valid_from, &mut out);
-    Array::from_vec(vec![1, m, n], out)
+/// TAAD mask for evaluation: every candidate may attend all real positions,
+/// so one row serves them all. Shape `[1, 1, n]`, which `taad_scores`
+/// applies to every candidate row.
+pub fn taad_eval_mask(n: usize, valid_from: usize) -> Array {
+    let mut out = vec![0.0f32; n];
+    taad_eval_mask_into(valid_from, &mut out);
+    Array::from_vec(vec![1, 1, n], out)
 }
 
-/// [`taad_eval_mask`] into a caller-provided `m * n` buffer (set semantics:
+/// [`taad_eval_mask`] into a caller-provided `n`-float row (set semantics:
 /// every element is written, so recycled scratch memory is safe).
-pub fn taad_eval_mask_into(m: usize, n: usize, valid_from: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), m * n, "taad_eval_mask_into: buffer length mismatch");
-    for row in 0..m {
-        let r = &mut out[row * n..(row + 1) * n];
-        r[..valid_from.min(n)].fill(-1e9);
-        r[valid_from.min(n)..].fill(0.0);
-    }
+pub fn taad_eval_mask_into(valid_from: usize, out: &mut [f32]) {
+    let open = valid_from.min(out.len());
+    out[..open].fill(-1e9);
+    out[open..].fill(0.0);
 }
 
 /// Draws `l` uniform negatives over `1..=num_pois`, excluding `target`.
@@ -527,13 +525,11 @@ mod tests {
 
     #[test]
     fn taad_eval_mask_opens_real_positions() {
-        let m = taad_eval_mask(2, 4, 1);
-        assert_eq!(m.shape(), &[1, 2, 4]);
-        for row in 0..2 {
-            assert!(m.at(&[0, row, 0]) < -1e8);
-            for j in 1..4 {
-                assert_eq!(m.at(&[0, row, j]), 0.0);
-            }
+        let m = taad_eval_mask(4, 1);
+        assert_eq!(m.shape(), &[1, 1, 4]);
+        assert!(m.at(&[0, 0, 0]) < -1e8);
+        for j in 1..4 {
+            assert_eq!(m.at(&[0, 0, j]), 0.0);
         }
     }
 

@@ -177,7 +177,7 @@ impl Recommender for GeoSan {
         let ids: Vec<usize> = candidates.iter().map(|&c| c as usize).collect();
         let c = self.embed(&mut sess, &ids);
         let c = sess.g.reshape(c, &[1, ids.len(), self.cfg.dim]);
-        let mask = taad_eval_mask(ids.len(), batch.n, batch.valid_from[0]);
+        let mask = taad_eval_mask(batch.n, batch.valid_from[0]);
         let y = sess.g.taad_scores(f, c, mask);
         sess.g.value(y).data().to_vec()
     }

@@ -681,15 +681,19 @@ impl<T: Tape> Exec<T> {
     /// Target-aware attention decoding (GeoSAN's decoder, STiSAN's TAAD,
     /// paper Eq 10–11): each candidate attends over the sequence positions
     /// it may see and is scored by the inner product with its attended
-    /// summary, `y = Attn(C, F, F) · C`.
+    /// summary, `y = Attn(C, F, F) · C`. Since `F` is both keys and values,
+    /// that is `y = Σ_j p_j u_j` with `u = C·Fᵀ` and
+    /// `p = softmax(u/√d + mask)`: one matrix product, not two.
     ///
     /// * `f`: `[b, n, d]` encoder output;
     /// * `c`: `[b, m, d]` candidate representations;
     /// * `mask`: `[b, m, n]` additive mask (`0` where a candidate may
-    ///   attend, `-1e9` elsewhere).
+    ///   attend, `-1e9` elsewhere), or `[b, 1, n]` when every candidate of a
+    ///   sequence sees the same positions.
     ///
     /// Returns `[b, m]` scores. A recording tape ([`Tape::RECORDS`]) records
-    /// the composition it differentiates; the serving executor runs the
+    /// the composition it differentiates, `bmm(c, fᵀ)` → scale → `+mask` →
+    /// softmax → `mul(w, u)` → `sum_last`; the serving executor runs the
     /// fused [`kernels::taad_scores_into`] (kind `taad`), which is
     /// bit-identical to it and reports the same FLOPs. When its arena
     /// carries helper [`Lanes`](crate::Lanes), the candidate chunks are
@@ -698,15 +702,17 @@ impl<T: Tape> Exec<T> {
         let (b, n, d) = self.dims3(f, "taad_scores");
         let m = self.value(c).shape().get(1).copied().unwrap_or(0);
         assert_eq!(self.value(c).shape(), &[b, m, d], "taad_scores: c must be [b, m, d]");
-        assert_eq!(mask.shape(), &[b, m, n], "taad_scores: mask must be [b, m, n]");
+        assert!(
+            mask.shape() == [b, m, n] || mask.shape() == [b, 1, n],
+            "taad_scores: mask must be [b, m, n] or [b, 1, n]"
+        );
         if T::RECORDS {
             let ft = self.transpose_last2(f);
-            let logits = self.bmm(c, ft); // [b, m, n]
-            let logits = self.scale(logits, 1.0 / (d as f32).sqrt());
+            let u = self.bmm(c, ft); // [b, m, n]
+            let logits = self.scale(u, 1.0 / (d as f32).sqrt());
             let logits = self.add_const(logits, mask);
             let w = self.softmax_last(logits);
-            let s = self.bmm(w, f); // [b, m, d]
-            let prod = self.mul(s, c);
+            let prod = self.mul(w, u);
             return self.sum_last(prod); // [b, m]
         }
         let g = self.guard("taad", kernels::taad_flops(b, m, n, d));

@@ -385,20 +385,22 @@ pub fn linear_forward_into(
 pub const TAAD_PANEL: usize = 32;
 
 /// Scratch floats [`taad_scores_into`] needs: `fᵀ` for one sequence plus
-/// one panel each of logits, weights and attended summaries.
+/// one panel each of `u = c·fᵀ`, logits and weights.
 pub fn taad_scratch_len(n: usize, d: usize) -> usize {
-    d * n + TAAD_PANEL * (2 * n + d)
+    d * n + TAAD_PANEL * 3 * n
 }
 
 /// Target-aware attention decoder scores into `out: [b*m]` (set semantics).
 ///
 /// `f: [b, n, d]` is the encoder output, `c: [b, m, d]` the candidates and
-/// `mask: [b, m, n]` the additive attention mask. [`TAAD_PANEL`] candidates
-/// at a time go through logits `c·fᵀ` → `×1/√d` → `+mask` → softmax → `·f`
-/// → `Σ s⊙c`. Each step is the kernel the unfused composition
+/// `mask` the additive attention mask, `[b, m, n]` or one row per sequence,
+/// `[b, 1, n]`. Because `f` is both keys and values, a candidate's score
+/// `(Σ_j p_j f_j)·c` is `Σ_j p_j u_j` with `u = c·fᵀ`: [`TAAD_PANEL`]
+/// candidates at a time go through `u = c·fᵀ` → `×1/√d` → `+mask` →
+/// softmax → `Σ_j w_j·u_j`. Each step is the kernel the unfused composition
 /// (`Exec::taad_scores` on the tape) runs, applied to the same rows in the
-/// same order, so the scores are bit-identical to it; only the `[m, n]` and
-/// `[m, d]` intermediates shrink to one panel of `scratch`.
+/// same order, so the scores are bit-identical to it; only the `[m, n]`
+/// intermediates shrink to one panel of `scratch`.
 #[allow(clippy::too_many_arguments)]
 pub fn taad_scores_into(
     f: &[f32],
@@ -413,25 +415,24 @@ pub fn taad_scores_into(
 ) {
     debug_assert_eq!(f.len(), b * n * d);
     debug_assert_eq!(c.len(), b * m * d);
-    debug_assert_eq!(mask.len(), b * m * n);
+    debug_assert!(mask.len() == b * m * n || mask.len() == b * n);
     debug_assert_eq!(out.len(), b * m);
+    let per_seq = mask.len() / b.max(1);
     let (ft, panel) = scratch.split_at_mut(d * n);
     for bi in 0..b {
-        let fb = &f[bi * n * d..][..n * d];
-        transpose_last2_into(fb, ft, 1, n, d);
-        let (cb, mb) = (&c[bi * m * d..][..m * d], &mask[bi * m * n..][..m * n]);
-        taad_rows_into(fb, ft, cb, mb, &mut out[bi * m..][..m], panel, n, d);
+        transpose_last2_into(&f[bi * n * d..][..n * d], ft, 1, n, d);
+        let (cb, mb) = (&c[bi * m * d..][..m * d], &mask[bi * per_seq..][..per_seq]);
+        taad_rows_into(ft, cb, mb, &mut out[bi * m..][..m], panel, n, d);
     }
 }
 
 /// The panel loop of [`taad_scores_into`] over `out.len()` candidate rows of
-/// one sequence: `fb: [n, d]` and its transpose `ft: [d, n]`, `c: [rows, d]`
-/// and `mask: [rows, n]`. A row's score depends only on its own row of `c`
-/// and `mask`, so any split of the rows into runs that start on a multiple
-/// of [`TAAD_PANEL`] yields the same bits (`crate::lanes` relies on this).
-#[allow(clippy::too_many_arguments)]
+/// one sequence: `ft: [d, n]` (the transposed encoder output),
+/// `c: [rows, d]`, and `mask: [rows, n]`, or one row `[n]` every candidate
+/// reads. A row's score depends only on its own rows of `c` and `mask`, so
+/// any split of the rows into runs that start on a multiple of
+/// [`TAAD_PANEL`] yields the same bits (`crate::lanes` relies on this).
 pub(crate) fn taad_rows_into(
-    fb: &[f32],
     ft: &[f32],
     c: &[f32],
     mask: &[f32],
@@ -441,27 +442,26 @@ pub(crate) fn taad_rows_into(
     d: usize,
 ) {
     let inv_sqrt_d = 1.0 / (d as f32).sqrt();
-    let (logits, rest) = panel.split_at_mut(TAAD_PANEL * n);
-    let (wts, s) = rest.split_at_mut(TAAD_PANEL * n);
-    let m = out.len();
-    for i0 in (0..m).step_by(TAAD_PANEL) {
-        let rows = TAAD_PANEL.min(m - i0);
-        let cp = &c[i0 * d..][..rows * d];
-        let lp = &mut logits[..rows * n];
-        matmul_into(cp, ft, lp, rows, d, n);
-        for (l, &mk) in lp.iter_mut().zip(&mask[i0 * n..][..rows * n]) {
-            let scaled = *l * inv_sqrt_d;
-            *l = scaled + mk;
+    let mask_stride = if mask.len() == n { 0 } else { n };
+    let (u, rest) = panel.split_at_mut(TAAD_PANEL * n);
+    let (logits, wts) = rest.split_at_mut(TAAD_PANEL * n);
+    for i0 in (0..out.len()).step_by(TAAD_PANEL) {
+        let rows = TAAD_PANEL.min(out.len() - i0);
+        let up = &mut u[..rows * n];
+        matmul_into(&c[i0 * d..][..rows * d], ft, up, rows, d, n);
+        for (r, (lrow, urow)) in logits.chunks_exact_mut(n).zip(up.chunks_exact(n)).enumerate() {
+            let mrow = &mask[(i0 + r) * mask_stride..][..n];
+            // Scale, then add the mask: two roundings, as the two ops.
+            for ((l, &x), &mk) in lrow.iter_mut().zip(urow).zip(mrow) {
+                *l = x * inv_sqrt_d + mk;
+            }
         }
-        let wp = &mut wts[..rows * n];
-        softmax_last_into(lp, wp, n);
-        let sp = &mut s[..rows * d];
-        matmul_into(wp, fb, sp, rows, n, d);
-        // `Σ s⊙c` per row: the products, then `Iterator::sum` in
+        softmax_last_into(&logits[..rows * n], &mut wts[..rows * n], n);
+        // `Σ_j w_j·u_j` per row: the products, then `Iterator::sum` in
         // ascending `j` — the arithmetic of `mul` + `sum_last_into`.
-        let dots = sp.chunks_exact(d).zip(cp.chunks_exact(d));
-        for (o, (srow, crow)) in out[i0..][..rows].iter_mut().zip(dots) {
-            *o = srow.iter().zip(crow).map(|(&x, &y)| x * y).sum();
+        let rows_wu = wts.chunks_exact(n).zip(up.chunks_exact(n));
+        for (o, (wrow, urow)) in out[i0..][..rows].iter_mut().zip(rows_wu) {
+            *o = wrow.iter().zip(urow).map(|(&w, &x)| w * x).sum();
         }
     }
 }
@@ -722,12 +722,13 @@ pub fn bmm_flops(a: &Array, b: &Array) -> u64 {
 }
 
 /// Estimated FLOPs of the target-aware decoder over `f: [b,n,d]` and
-/// `c: [b,m,d]`: the sum of what its unfused ops report — two batched
-/// matmuls (`4bmnd`), scale + mask + softmax (`7bmn`), and the product and
-/// row sum (`2bmd`) — so fusing it does not move the FLOP count.
+/// `c: [b,m,d]`: the sum of what its unfused ops report — the batched
+/// matmul `u = c·fᵀ` (`2bmnd`), scale + mask + softmax (`7bmn`), and the
+/// product `w⊙u` and its row sum (`2bmn`) — so fusing it does not move the
+/// FLOP count.
 pub fn taad_flops(b: usize, m: usize, n: usize, d: usize) -> u64 {
     let (b, m, n, d) = (b as u64, m as u64, n as u64, d as u64);
-    4 * b * m * n * d + 7 * b * m * n + 2 * b * m * d
+    2 * b * m * n * d + 7 * b * m * n + 2 * b * m * n
 }
 
 // ----------------------------------------------------------------------

@@ -56,8 +56,8 @@ use crate::kernels;
 pub const TAAD_CHUNK: usize = 256;
 const _: () = assert!(TAAD_CHUNK.is_multiple_of(kernels::TAAD_PANEL));
 
-/// One decoder call: `f: [b, n, d]`, `c: [b, m, d]`, `mask: [b, m, n]` as
-/// `Arc` handles (cloning copies no floats).
+/// One decoder call: `f: [b, n, d]`, `c: [b, m, d]`, `mask: [b, m, n]` or
+/// `[b, 1, n]` as `Arc` handles (cloning copies no floats).
 #[derive(Clone)]
 struct Job {
     f: Array,
@@ -163,9 +163,12 @@ impl Job {
             }
             let row0 = bi * m + i0;
             let c = &self.c.data()[row0 * d..][..rows * d];
-            let mask = &self.mask.data()[row0 * n..][..rows * n];
+            let mask = match self.mask.shape()[1] {
+                1 => &self.mask.data()[bi * n..][..n],
+                _ => &self.mask.data()[row0 * n..][..rows * n],
+            };
             let out = &mut rows_out[..rows];
-            kernels::taad_rows_into(fb, ft, c, mask, out, panel, n, d);
+            kernels::taad_rows_into(ft, c, mask, out, panel, n, d);
             shared.deposit(row0, out);
             scored += 1;
         }
@@ -273,9 +276,9 @@ impl Lanes {
 
     /// The fused decoder's scores, `[b·m]`, into `out` (set semantics),
     /// bit-identical to [`kernels::taad_scores_into`] for any lane count.
-    /// `f: [b, n, d]`, `c: [b, m, d]`, `mask: [b, m, n]`; scratch comes from
-    /// `arena`. With no helpers, or a single chunk, the serial kernel runs
-    /// on the caller. A helper's panic is re-raised here.
+    /// `f: [b, n, d]`, `c: [b, m, d]`, `mask: [b, m, n]` or `[b, 1, n]`;
+    /// scratch comes from `arena`. With no helpers, or a single chunk, the
+    /// serial kernel runs on the caller. A helper's panic is re-raised here.
     pub fn taad_scores(
         &self,
         arena: &mut Arena,

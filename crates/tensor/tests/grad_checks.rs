@@ -346,6 +346,35 @@ fn gc_attention_composite() {
     );
 }
 
+/// The target-aware decoder's recorded composition, where `u = c·fᵀ` feeds
+/// both the logits and the weighted sum: gradients w.r.t. `f` and `c`, with
+/// a full `[b, m, n]` mask that closes some positions of some rows, and
+/// with one mask row shared by every candidate of a sequence.
+#[test]
+fn gc_taad_scores() {
+    let mut r = rng(20);
+    let f = Array::randn(vec![2, 4, 5], 0.7, &mut r);
+    let c = Array::randn(vec![2, 3, 5], 0.7, &mut r);
+    let mut full = Array::zeros(vec![2, 3, 4]);
+    for j in 0..2 {
+        full.set(&[0, 1, j], -1e9);
+    }
+    full.set(&[1, 2, 3], -1e9);
+    let mut row = Array::zeros(vec![2, 1, 4]);
+    row.set(&[1, 0, 0], -1e9);
+    for mask in [full, row] {
+        assert_grads_close(
+            &[f.clone(), c.clone()],
+            |g, v| {
+                let y = g.taad_scores(v[0], v[1], mask.clone());
+                let y = g.tanh(y);
+                g.sum_all(y)
+            },
+            TOL,
+        );
+    }
+}
+
 #[test]
 fn gc_weighted_bce_composite() {
     // log sigma(pos) + log(1 - sigma(neg)) via softplus, the Eq-12 building block.

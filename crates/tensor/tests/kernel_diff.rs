@@ -372,21 +372,49 @@ proptest! {
     }
 }
 
-/// The fused decoder reports exactly the FLOPs of the ops it replaces.
+/// One mask row per sequence (`[b, 1, n]`, the eval mask) scores every
+/// candidate exactly as the same row repeated `m` times does: the tape's
+/// broadcast `add_const`, the serial kernel and the kernel split over 1, 2
+/// and 3 lanes all give the expanded mask's bits.
+#[test]
+fn one_mask_row_matches_the_expanded_mask() {
+    let (n, d) = (20usize, 64usize);
+    let lanes: Vec<Arc<Lanes>> = (1..=3).map(|k| Arc::new(Lanes::new(k))).collect();
+    let mut rng = StdRng::seed_from_u64(31);
+    for b in [1usize, 2] {
+        for m in [1usize, 33, 257, 1_000] {
+            let f = Array::uniform(vec![b, n, d], -2.0, 2.0, &mut rng);
+            let c = Array::uniform(vec![b, m, d], -2.0, 2.0, &mut rng);
+            let row = decoder_mask(b, 1, n, &mut rng);
+            let expanded: Vec<f32> = row.chunks_exact(n).flat_map(|r| r.repeat(m)).collect();
+            let row = Array::from_vec(vec![b, 1, n], row);
+            let expanded = Array::from_vec(vec![b, m, n], expanded);
+            let want = decode(&mut NoGrad::new(), &f, &c, &expanded);
+            let what = format!("taad one mask row b={b} m={m}");
+            assert_bits_eq(&decode(&mut Graph::new(), &f, &c, &row), &want, &what);
+            assert_bits_eq(&decode(&mut NoGrad::new(), &f, &c, &row), &want, &what);
+            for l in &lanes {
+                let out = Arc::new(vec![f32::NAN; b * m]);
+                let split = l.taad_scores(&mut Arena::new(), &f, &c, &row, out);
+                assert_bits_eq(&split, &want, &format!("{what} lanes={}", l.count()));
+            }
+        }
+    }
+}
+
+/// The fused decoder reports exactly the FLOPs of the ops it replaces:
+/// `u = c·fᵀ`, scale, `+mask`, softmax, `w ⊙ u` and the row sums.
 #[test]
 fn decoder_flops_equal_the_composition() {
     let (b, m, n, d) = (2usize, 37usize, 20usize, 64usize);
-    let f = Array::zeros(vec![b, n, d]);
     let c = Array::zeros(vec![b, m, d]);
     let ft = Array::zeros(vec![b, d, n]);
-    let w = Array::zeros(vec![b, m, n]);
     let composed = kernels::bmm_flops(&c, &ft)
         + (b * m * n) as u64 // scale
         + (b * m * n) as u64 // + mask
         + 5 * (b * m * n) as u64 // softmax
-        + kernels::bmm_flops(&w, &f)
-        + (b * m * d) as u64 // s ⊙ c
-        + (b * m * d) as u64; // row sums
+        + (b * m * n) as u64 // w ⊙ u
+        + (b * m * n) as u64; // row sums
     assert_eq!(kernels::taad_flops(b, m, n, d), composed);
 }
 
